@@ -46,6 +46,7 @@
 #include "core/sorting.hpp"
 #include "encoding/compressed_ops.hpp"
 #include "encoding/hybrid_plan.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "synth/pauli_exponential.hpp"
 #include "synth/synthesis_cache.hpp"
@@ -95,6 +96,14 @@ struct CompileOptions {
   /// function: results are bit-identical with or without it.
   synth::SynthesisCache* synthesis_cache = nullptr;
 };
+
+/// The GT search scores candidates with the exact pipeline cost
+/// (detail::exact_fermionic_cost) while the fermionic segment has at most
+/// this many terms, and with the fast greedy-chain proxy
+/// (fermionic_fast_cost) above it. The exact objective runs one baseline
+/// sort per candidate Gamma, which stops paying on large instances (NH3);
+/// moving the threshold changes the GT column of every row it crosses.
+inline constexpr std::size_t kGtExactObjectiveMaxTerms = 20;
 
 /// Diagnostic for inconsistent option combinations; empty string = valid.
 /// compile_vqe aborts (with the diagnostic on stderr) on invalid options so
@@ -303,6 +312,56 @@ inline void emit_bosonic(circuit::PeepholeBuilder& out,
   }
 }
 
+/// Exact (final-pipeline) model cost of a fermionic segment under a
+/// candidate Gamma: map every JW block symplectically (x' = Gamma x,
+/// z' = Gamma^-T z, canonical letter phase, first-support target), run the
+/// configured sorter once, and cost the sequence on options.target. The
+/// mapped letters are exactly those of the Clifford conjugation
+/// transform::LinearEncoding performs; its sign only rescales angle_coeff,
+/// which neither the sorters nor the cost model read. The advanced sorter
+/// runs on a private seed-derived Rng, drawing nothing from the compile
+/// stream, so the result is a pure function of Gamma. Gamma must be
+/// invertible.
+[[nodiscard]] inline int exact_fermionic_cost(
+    const gf2::Matrix& gamma,
+    const std::vector<std::vector<synth::RotationBlock>>& term_blocks,
+    const CompileOptions& options, const synth::HardwareTarget* hw) {
+  if (term_blocks.empty()) return 0;
+  const auto inv = gamma.inverse();
+  FEMTO_EXPECTS(inv.has_value());
+  const gf2::Matrix inv_t = inv->transpose();
+  std::vector<std::vector<synth::RotationBlock>> per_term;
+  per_term.reserve(term_blocks.size());
+  for (const auto& blocks : term_blocks) {
+    std::vector<synth::RotationBlock>& mapped = per_term.emplace_back();
+    mapped.reserve(blocks.size());
+    for (const auto& b : blocks) {
+      synth::RotationBlock& out = mapped.emplace_back();
+      out.string.set_symplectic(gamma.apply(b.string.x()),
+                                inv_t.apply(b.string.z()));
+      const gf2::BitVec& x = out.string.x();
+      const gf2::BitVec& z = out.string.z();
+      out.string.set_phase_exponent(static_cast<int>(gf2::wordops::and_popcount(
+          x.word_data(), z.word_data(), x.word_count())));
+      out.target = out.string.support().lowest_set();
+      out.angle_coeff = b.angle_coeff;
+      out.param = b.param;
+    }
+  }
+  std::vector<synth::RotationBlock> ordered;
+  if (options.sorting == SortingMode::kBaseline) {
+    ordered = sort_baseline(per_term, hw);
+  } else {
+    for (auto& blocks : per_term)
+      for (auto& b : blocks) ordered.push_back(std::move(b));
+    if (options.sorting == SortingMode::kAdvanced) {
+      Rng sort_rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
+      ordered = sort_advanced(ordered, sort_rng, options.gtsp_options, hw);
+    }
+  }
+  return synth::sequence_model_cost(ordered, options.target);
+}
+
 /// Intermediate state handed between the compile stages. Owned by one
 /// compile call; never shared across threads.
 struct StageContext {
@@ -415,13 +474,11 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
     return fermionic_fast_cost(gamma, ctx.fermionic_jw_blocks, hw, cache_ptr);
   };
 
-  // Real (final-pipeline) cost of the fermionic segment for a candidate
-  // Gamma: conjugate the blocks exactly, run the configured sorter once.
-  // Memoized per candidate matrix: the cost is a pure function of Gamma
-  // (the sorter runs on a private seed-derived Rng, drawing nothing from the
-  // compile stream), and the PSO / level-labeling searches revisit the same
-  // candidates heavily as they converge, so the exact memo changes no
-  // result while collapsing the dominant Held-Karp/GTSP re-evaluations.
+  // Exact (final-pipeline) cost of the fermionic segment for a candidate
+  // Gamma (exact_fermionic_cost above). Memoized per candidate matrix: the
+  // cost is a pure function of Gamma, and the PSO / level-labeling searches
+  // revisit the same candidates as they converge (and the Adv hill climb
+  // saves a GTSP solve per hit), so the exact memo changes no result.
   std::unordered_map<std::string, int> real_cost_memo;
   const auto gamma_key = [](const gf2::Matrix& g) {
     std::string key;
@@ -431,45 +488,15 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
         key.append(reinterpret_cast<const char*>(&w), sizeof(w));
     return key;
   };
-  const auto real_fermionic_cost_uncached =
-      [&](const gf2::Matrix& gamma) -> int {
-    if (ctx.fermionic_jw_blocks.empty()) return 0;
-    const transform::LinearEncoding cand{gamma};
-    std::vector<synth::RotationBlock> flat;
-    std::vector<std::vector<synth::RotationBlock>> per_term;
-    for (const auto& term_blocks : ctx.fermionic_jw_blocks) {
-      std::vector<synth::RotationBlock> mapped = term_blocks;
-      for (auto& b : mapped) {
-        b.string = cand.map_string(b.string);
-        // Canonicalize sign into the angle for the synthesizer contract.
-        const pauli::Complex s = b.string.sign();
-        b.angle_coeff *= s.real();
-        const int y = static_cast<int>((b.string.x() & b.string.z()).popcount());
-        b.string.set_phase_exponent(y);
-        b.target = b.string.support().lowest_set();
-      }
-      per_term.push_back(mapped);
-      for (auto& b : per_term.back()) flat.push_back(b);
-    }
-    Rng sort_rng(options.seed ^ 0x9e3779b97f4a7c15ULL);
-    std::vector<synth::RotationBlock> ordered;
-    switch (options.sorting) {
-      case SortingMode::kAdvanced:
-        ordered = sort_advanced(flat, sort_rng, options.gtsp_options, hw);
-        break;
-      case SortingMode::kBaseline:
-        ordered = sort_baseline(per_term, hw);
-        break;
-      case SortingMode::kNone: ordered = flat; break;
-    }
-    return synth::sequence_model_cost(ordered, options.target);
-  };
+  std::uint64_t real_cost_misses = 0;
   const auto real_fermionic_cost = [&](const gf2::Matrix& gamma) -> int {
-    const std::string key = gamma_key(gamma);
+    std::string key = gamma_key(gamma);
     const auto it = real_cost_memo.find(key);
     if (it != real_cost_memo.end()) return it->second;
-    const int c = real_fermionic_cost_uncached(gamma);
-    real_cost_memo.emplace(key, c);
+    ++real_cost_misses;
+    const int c =
+        exact_fermionic_cost(gamma, ctx.fermionic_jw_blocks, options, hw);
+    real_cost_memo.emplace(std::move(key), c);
     return c;
   };
 
@@ -481,9 +508,11 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
       break;
     case TransformKind::kBaselineGT: {
       // For small instances the search can afford the exact pipeline cost as
-      // its objective; the fast proxy is kept for large ones (NH3).
-      const bool exact = ctx.fermionic_jw_blocks.size() <= 20 &&
-                         options.sorting != SortingMode::kAdvanced;
+      // its objective; the fast proxy is kept for large ones (NH3). See
+      // kGtExactObjectiveMaxTerms.
+      const bool exact =
+          ctx.fermionic_jw_blocks.size() <= kGtExactObjectiveMaxTerms &&
+          options.sorting != SortingMode::kAdvanced;
       const std::function<double(const gf2::Matrix&)> search_cost =
           exact ? std::function<double(const gf2::Matrix&)>(
                       [&](const gf2::Matrix& g) {
@@ -508,6 +537,11 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
           best_cost = c;
           gamma = cand;
         }
+      }
+      if (exact) {
+        static obs::Counter& exact_evaluations =
+            obs::registry().counter("solver.gt_exact_evaluations");
+        exact_evaluations.inc(real_cost_misses);
       }
       break;
     }

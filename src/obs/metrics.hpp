@@ -20,6 +20,11 @@
 //                                     (bit-identical by purity)
 //              solver.sa_solves / solver.sa_steps
 //              solver.gtsp_solves / solver.gtsp_generations
+//              solver.gt_exact_evaluations
+//                                     exact GT objective evaluations (memo
+//                                     misses while the GT search scores
+//                                     candidates exactly)
+//              solver.held_karp_runs  Held-Karp DPs run by sort_baseline
 //              service.submitted / service.coalesced / service.done /
 //              service.cancelled / service.deadline_exceeded /
 //              service.rejected / service.works_run / service.plans_served

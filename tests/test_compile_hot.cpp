@@ -7,13 +7,25 @@
 //    (fermionic_fast_cost) over random elementary-move sequences,
 //  * anneal_gamma_fast vs the generic simulated-annealing driver on the
 //    same RNG stream,
-//  * the dense GTSP GA vs the preserved lazy reference solver.
+//  * the dense GTSP GA vs the preserved lazy reference solver,
+//  * the pushed 8-lane Held-Karp DP, sort_baseline and the symplectic exact
+//    GT objective vs the reference formulation in
+//    tests/support/baseline_oracle.hpp, at every SIMD dispatch level.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "chem/integrals.hpp"
+#include "chem/mo_integrals.hpp"
+#include "chem/molecules.hpp"
+#include "chem/scf.hpp"
+#include "common/simd.hpp"
 #include "core/compiler.hpp"
+#include "support/baseline_oracle.hpp"
+#include "support/level_session.hpp"
 #include "transform/linear_encoding.hpp"
+#include "vqe/uccsd.hpp"
 
 namespace femto {
 namespace {
@@ -340,45 +352,279 @@ TEST(DenseGtsp, RestartsShareOneMatrixAndMatchSerial) {
   EXPECT_EQ(multi.value, best.value);
 }
 
-TEST(HeldKarp, PullDpMatchesBruteForceOnSmallTerms) {
-  Rng rng(109);
-  for (int rep = 0; rep < 40; ++rep) {
-    const std::size_t n = 4 + rng.index(6);
-    const std::size_t m = 2 + rng.index(4);  // brute force m! orders
-    auto blocks = random_blocks(n, m, rng);
-    // Shared target 0: force support there (interface_saving requires the
-    // target to sit inside both strings' support, as sort_baseline
-    // guarantees via common_targets).
-    const std::size_t target = 0;
-    for (auto& b : blocks) {
-      if (b.string.letter(0) == Letter::I) b.string.set_letter(0, Letter::X);
-      b.target = 0;
+/// Random string whose letters come from a small alphabet on few qubits, so
+/// interface savings collide often (ties between orders and targets).
+pauli::PauliString tie_prone_string(std::size_t n, Rng& rng) {
+  pauli::PauliString p(n);
+  while (p.weight() == 0)
+    for (std::size_t q = 0; q < n; ++q) {
+      constexpr Letter letters[3] = {Letter::I, Letter::X, Letter::Y};
+      p.set_letter(q, letters[rng.index(3)]);
     }
-    const auto res = core::detail::held_karp_order(blocks, target);
-    // Brute force the maximum path savings.
+  return p;
+}
+
+/// One term of m blocks that all have support on `shared` qubits. Half the
+/// draws share one x-vector (the structure of an excitation's strings), and
+/// several shared columns are copied from another shared column, or copied
+/// with X and Y swapped, so distinct candidate targets tie exactly.
+std::vector<synth::RotationBlock> random_term(std::size_t n, std::size_t m,
+                                              Rng& rng) {
+  std::vector<synth::RotationBlock> blocks;
+  const bool excitation_like = rng.index(2) == 0;
+  const pauli::PauliString x_source = random_string(n, rng);
+  for (std::size_t k = 0; k < m; ++k) {
+    synth::RotationBlock b;
+    if (excitation_like) {
+      pauli::PauliString p(n);
+      gf2::BitVec z(n);
+      for (std::size_t q = 0; q < n; ++q) z.set(q, rng.index(2) == 1);
+      p.set_symplectic(x_source.x() | x_source.z(), std::move(z));
+      b.string = std::move(p);
+    } else {
+      b.string = rng.index(2) == 0 ? random_string(n, rng)
+                                   : tie_prone_string(n, rng);
+    }
+    if (k > 0 && rng.index(4) == 0) b.string = blocks[rng.index(k)].string;
+    blocks.push_back(std::move(b));
+  }
+  // Force support on a few shared qubits; copy some shared columns.
+  const std::size_t num_shared = 1 + rng.index(std::min<std::size_t>(n, 4));
+  std::vector<std::size_t> shared;
+  for (std::size_t q = 0; q < n && shared.size() < num_shared; ++q)
+    if (rng.index(2) == 0 || n - q <= num_shared - shared.size())
+      shared.push_back(q);
+  for (std::size_t q : shared)
+    for (auto& b : blocks)
+      if (b.string.letter(q) == Letter::I)
+        b.string.set_letter(q, rng.index(2) == 0 ? Letter::X : Letter::Z);
+  for (std::size_t k = 1; k < shared.size(); ++k) {
+    if (rng.index(2) == 0) continue;
+    const std::size_t from = shared[rng.index(k)];
+    const bool swap_xy = rng.index(2) == 0;
+    for (auto& b : blocks) {
+      Letter l = b.string.letter(from);
+      if (swap_xy && l == Letter::X)
+        l = Letter::Y;
+      else if (swap_xy && l == Letter::Y)
+        l = Letter::X;
+      b.string.set_letter(shared[k], l);
+    }
+  }
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    blocks[k].string.set_phase_exponent(static_cast<int>(
+        (blocks[k].string.x() & blocks[k].string.z()).popcount()));
+    blocks[k].target = blocks[k].string.support().lowest_set();
+    blocks[k].angle_coeff = 0.25 + static_cast<double>(k);
+    blocks[k].param = static_cast<int>(k);
+  }
+  return blocks;
+}
+
+/// Row-major weight table of one term at one shared target, rows padded to
+/// the DP's lane width (w[i * stride + j] = saving of j directly after i).
+std::vector<int> weight_table(const std::vector<synth::RotationBlock>& blocks,
+                              std::size_t target, std::size_t stride) {
+  const std::size_t m = blocks.size();
+  std::vector<int> w(m * stride, 0);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j)
+      if (i != j && !blocks[i].string.same_letters(blocks[j].string))
+        w[i * stride + j] = synth::interface_saving(
+            blocks[i].string, target, blocks[j].string, target);
+  return w;
+}
+
+TEST(HeldKarp, PushedDpMatchesPullOracleAndBruteForce) {
+  // Every term size up to a double excitation's 8 strings, at every SIMD
+  // level: the pushed 8-lane DP must return the pull-form oracle's savings
+  // AND order (the same first-maximizer tie-break), and the savings must be
+  // the brute-force maximum over all m! orders.
+  const LevelSession session;
+  Rng rng(109);
+  for (int rep = 0; rep < 64; ++rep) {
+    const std::size_t m = 1 + static_cast<std::size_t>(rep) % 8;
+    const std::size_t n = 3 + rng.index(6);
+    const auto blocks = random_term(n, m, rng);
+    const std::vector<std::size_t> shared = oracle::common_targets(blocks);
+    ASSERT_FALSE(shared.empty());
+    const std::size_t target = shared[rng.index(shared.size())];
+    const std::size_t stride = core::detail::kHeldKarpLanes;
+    const std::vector<int> w = weight_table(blocks, target, stride);
+    const oracle::IntraResult ref =
+        oracle::held_karp_order_pull(blocks, target);
+    for (const simd::Level lvl : session.levels()) {
+      ASSERT_EQ(simd::set_level(lvl), lvl);
+      std::vector<std::size_t> order(m);
+      const int savings =
+          core::detail::held_karp_path(w.data(), m, stride, order.data());
+      EXPECT_EQ(savings, ref.savings)
+          << "rep " << rep << " level " << simd::to_string(lvl);
+      EXPECT_EQ(order, ref.order)
+          << "rep " << rep << " level " << simd::to_string(lvl);
+    }
     std::vector<std::size_t> perm(m);
     for (std::size_t i = 0; i < m; ++i) perm[i] = i;
     int best = -1;
     do {
       int savings = 0;
       for (std::size_t k = 0; k + 1 < m; ++k)
-        if (!blocks[perm[k]].string.same_letters(blocks[perm[k + 1]].string))
-          savings += synth::interface_saving(blocks[perm[k]].string, target,
-                                             blocks[perm[k + 1]].string,
-                                             target);
+        savings += w[perm[k] * stride + perm[k + 1]];
       best = std::max(best, savings);
     } while (std::next_permutation(perm.begin(), perm.end()));
-    EXPECT_EQ(res.savings, best) << "rep " << rep;
-    // The returned order must realize the claimed savings.
+    EXPECT_EQ(ref.savings, best) << "rep " << rep;
     int realized = 0;
     for (std::size_t k = 0; k + 1 < m; ++k)
-      if (!blocks[res.order[k]].string.same_letters(
-              blocks[res.order[k + 1]].string))
-        realized += synth::interface_saving(blocks[res.order[k]].string,
-                                            target,
-                                            blocks[res.order[k + 1]].string,
-                                            target);
+      realized += w[ref.order[k] * stride + ref.order[k + 1]];
     EXPECT_EQ(realized, best) << "rep " << rep;
+    EXPECT_LE(best, core::detail::path_savings_bound(w.data(), m, stride))
+        << "rep " << rep;
+  }
+}
+
+TEST(HeldKarp, WideTermsUseTwoLaneGroups) {
+  // Terms of 9..12 blocks pad rows to 16 lanes; the pushed DP must still
+  // agree with the pull oracle at every level.
+  const LevelSession session;
+  Rng rng(113);
+  for (int rep = 0; rep < 8; ++rep) {
+    const std::size_t m = 9 + rng.index(4);
+    const std::size_t n = 4 + rng.index(4);
+    auto blocks = random_blocks(n, m, rng);
+    for (auto& b : blocks)
+      if (b.string.letter(0) == Letter::I) b.string.set_letter(0, Letter::X);
+    const std::size_t stride = 2 * core::detail::kHeldKarpLanes;
+    const std::vector<int> w = weight_table(blocks, 0, stride);
+    const oracle::IntraResult ref = oracle::held_karp_order_pull(blocks, 0);
+    for (const simd::Level lvl : session.levels()) {
+      ASSERT_EQ(simd::set_level(lvl), lvl);
+      std::vector<std::size_t> order(m);
+      EXPECT_EQ(core::detail::held_karp_path(w.data(), m, stride, order.data()),
+                ref.savings)
+          << "rep " << rep;
+      EXPECT_EQ(order, ref.order) << "rep " << rep;
+    }
+  }
+}
+
+/// Letters, targets and angles of a sorted sequence must match exactly.
+void expect_same_sequence(const std::vector<synth::RotationBlock>& got,
+                          const std::vector<synth::RotationBlock>& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].string, want[k].string) << where << " slot " << k;
+    EXPECT_EQ(got[k].target, want[k].target) << where << " slot " << k;
+    EXPECT_EQ(got[k].param, want[k].param) << where << " slot " << k;
+    EXPECT_EQ(got[k].angle_coeff, want[k].angle_coeff)
+        << where << " slot " << k;
+  }
+}
+
+TEST(BaselineOracle, SortBaselineMatchesReferenceOnRandomTerms) {
+  // (a) Random per-term block sets, m = 1..8, with forced ties between
+  // candidate targets: the ordered strings, targets and cost must equal the
+  // reference sorter's, on the default model and on device models (the
+  // routed linear_nn(n) that the compiler threads in, plus the XX partner
+  // form with and without a constrained coupling map).
+  const LevelSession session;
+  Rng rng(117);
+  for (int rep = 0; rep < 120; ++rep) {
+    const std::size_t n = 3 + rng.index(8);
+    const std::size_t num_terms = 1 + rng.index(4);
+    std::vector<std::vector<synth::RotationBlock>> per_term;
+    for (std::size_t t = 0; t < num_terms; ++t) {
+      const std::size_t m = 1 + rng.index(8);
+      per_term.push_back(random_term(n, m, rng));
+      for (auto& b : per_term.back())
+        b.param = static_cast<int>(10 * t) + b.param;
+    }
+    synth::HardwareTarget xx_routed = synth::HardwareTarget::trapped_ion_xx();
+    xx_routed.coupling = synth::HardwareTarget::linear_nn(n).coupling;
+    const synth::HardwareTarget devices[4] = {
+        synth::HardwareTarget::all_to_all_cnot(),
+        synth::HardwareTarget::linear_nn(n),
+        synth::HardwareTarget::trapped_ion_xx(), xx_routed};
+    for (const auto& hw : devices) {
+      const synth::HardwareTarget* hw_ptr =
+          hw.is_all_to_all_cnot() ? nullptr : &hw;
+      const auto want = oracle::sort_baseline_reference(per_term, hw_ptr);
+      for (const simd::Level lvl : session.levels()) {
+        ASSERT_EQ(simd::set_level(lvl), lvl);
+        const auto got = core::sort_baseline(per_term, hw_ptr);
+        const std::string where = "rep " + std::to_string(rep) + " " +
+                                  hw.name + " " + simd::to_string(lvl);
+        expect_same_sequence(got, want, where);
+        EXPECT_EQ(synth::sequence_model_cost(got, hw),
+                  synth::sequence_model_cost(want, hw))
+            << where;
+      }
+    }
+  }
+}
+
+/// Fermionic-segment JW blocks of a molecule's first `ne` HMP2 terms under
+/// the GT column's options (bosonic-only compression).
+std::vector<std::vector<synth::RotationBlock>> gt_fermionic_blocks(
+    const chem::Molecule& mol, std::size_t ne, const core::CompileOptions& opt,
+    std::size_t& n) {
+  auto basis = chem::build_sto3g(mol);
+  chem::normalize_basis(basis);
+  const auto ints = chem::compute_integrals(mol, basis);
+  const auto scf = chem::run_rhf(mol, ints);
+  const auto mo = chem::transform_to_mo(mol, ints, scf);
+  const auto so = chem::to_spin_orbitals(mo);
+  std::vector<fermion::ExcitationTerm> terms = vqe::uccsd_hmp2_terms(so);
+  if (terms.size() > ne) terms.resize(ne);
+  n = so.n;
+  core::detail::StageContext ctx;
+  ctx.n = n;
+  ctx.terms = &terms;
+  ctx.options = &opt;
+  core::CompileResult result;
+  Rng rng(opt.seed);
+  core::detail::stage_plan(ctx, result, rng);
+  return ctx.fermionic_jw_blocks;
+}
+
+TEST(BaselineOracle, ExactObjectiveMatchesLinearEncodingReference) {
+  // (b) The GT fermionic blocks of HF, LiH and H2O(8) under 200 random
+  // upper-triangular x permutation Gammas: the symplectic objective must
+  // equal the reference objective that maps every block through a full
+  // LinearEncoding and sorts with the reference sorter.
+  core::CompileOptions opt;
+  opt.transform = core::TransformKind::kBaselineGT;
+  opt.sorting = core::SortingMode::kBaseline;
+  opt.compression = core::CompressionMode::kBosonicOnly;
+  opt.emit_circuit = false;
+  const LevelSession session;
+  struct Row {
+    chem::Molecule mol;
+    std::size_t ne;
+  };
+  const Row rows[3] = {{chem::make_hf(), 3}, {chem::make_lih(), 3},
+                       {chem::make_h2o(), 8}};
+  Rng rng(119);
+  for (const Row& row : rows) {
+    std::size_t n = 0;
+    const auto blocks = gt_fermionic_blocks(row.mol, row.ne, opt, n);
+    ASSERT_FALSE(blocks.empty()) << row.mol.name;
+    for (int rep = 0; rep < 200; ++rep) {
+      std::vector<std::size_t> perm(n);
+      for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+      rng.shuffle(perm);
+      const gf2::Matrix gamma = gf2::Matrix::random_upper_triangular(n, rng)
+                                    .multiply(gf2::Matrix::permutation(perm));
+      const int want =
+          oracle::exact_fermionic_cost_reference(gamma, blocks, opt.target);
+      for (const simd::Level lvl : session.levels()) {
+        ASSERT_EQ(simd::set_level(lvl), lvl);
+        EXPECT_EQ(core::detail::exact_fermionic_cost(gamma, blocks, opt,
+                                                     nullptr),
+                  want)
+            << row.mol.name << " rep " << rep << " " << simd::to_string(lvl);
+      }
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "circuit/peephole.hpp"
 #include "common/rng.hpp"
+#include "core/sorting.hpp"
 #include "gf2/bitvec.hpp"
 #include "gf2/matrix.hpp"
 #include "pauli/pauli_string.hpp"
@@ -52,6 +53,19 @@ TEST(Contracts, SynthesisRejectsIdentityTarget) {
   b.target = 1;  // identity site
   b.angle_coeff = 0.5;
   EXPECT_DEATH((void)synth::synthesize_sequence(2, {b}), "precondition");
+}
+
+TEST(Contracts, BaselineSortNeedsASharedSupportQubit) {
+  // The strings of one term must share a support qubit (the shared-target
+  // candidates); two blocks with disjoint support have none.
+  synth::RotationBlock a;
+  a.string = pauli::PauliString::from_string("XXII");
+  a.target = 0;
+  synth::RotationBlock b;
+  b.string = pauli::PauliString::from_string("IIZY");
+  b.target = 2;
+  EXPECT_DEATH((void)core::sort_baseline({{a, b}}),
+               "the blocks of a term share a support qubit");
 }
 
 TEST(Contracts, StateVectorHermitianExpOnly) {

@@ -10,8 +10,13 @@
 //  - the advanced pipeline never loses to the baseline on the model count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/compiler.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sim/statevector.hpp"
 
 namespace femto::core {
@@ -248,6 +253,49 @@ TEST(Compiler, TransformKindsAllProduceValidCounts) {
     EXPECT_GT(res.model_cnots, 0);
     EXPECT_GE(res.emitted_cnots, res.model_cnots);
   }
+}
+
+TEST(Compiler, GtExactObjectiveCoversAtMostTwentyFermionicTerms) {
+  // The GT search scores candidates with the exact pipeline cost up to
+  // kGtExactObjectiveMaxTerms fermionic terms and with the fast proxy
+  // above: 20 terms count exact evaluations, 21 count none.
+  ASSERT_EQ(kGtExactObjectiveMaxTerms, 20u);
+  std::vector<ExcitationTerm> terms;
+  for (const auto& [p, q] : {std::pair<std::size_t, std::size_t>{4, 6},
+                             {4, 7}, {5, 6}, {5, 7}})
+    for (const auto& [r, s] : {std::pair<std::size_t, std::size_t>{0, 2},
+                               {0, 3}, {1, 2}, {1, 3}})
+      terms.push_back(ExcitationTerm::make_double(p, q, r, s));
+  for (std::size_t p = 4; p < 8; ++p)
+    for (std::size_t r = 0; r < 4; ++r)
+      terms.push_back(ExcitationTerm::single(p, r));
+  ASSERT_GE(terms.size(), 21u);
+  CompileOptions opt = fast_options();
+  opt.transform = TransformKind::kBaselineGT;
+  opt.sorting = SortingMode::kBaseline;
+  opt.compression = CompressionMode::kBosonicOnly;
+  opt.emit_circuit = false;
+  opt.pso_options.iterations = 2;
+  opt.pso_options.particles = 4;
+  const obs::Counter& exact =
+      obs::registry().counter("solver.gt_exact_evaluations");
+  const obs::Counter& held_karp_runs =
+      obs::registry().counter("solver.held_karp_runs");
+
+  const std::vector<ExcitationTerm> twenty(terms.begin(), terms.begin() + 20);
+  std::uint64_t before = exact.value();
+  std::uint64_t runs_before = held_karp_runs.value();
+  const CompileResult res20 = compile_vqe(8, twenty, opt);
+  ASSERT_EQ(res20.plan.fermionic.size(), 20u);
+  EXPECT_GT(exact.value(), before);
+  EXPECT_GT(held_karp_runs.value(), runs_before);
+
+  const std::vector<ExcitationTerm> twenty_one(terms.begin(),
+                                               terms.begin() + 21);
+  before = exact.value();
+  const CompileResult res21 = compile_vqe(8, twenty_one, opt);
+  ASSERT_EQ(res21.plan.fermionic.size(), 21u);
+  EXPECT_EQ(exact.value(), before);
 }
 
 }  // namespace

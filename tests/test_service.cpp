@@ -30,7 +30,10 @@ using service::RequestState;
 
 /// A small deterministic UCCSD-shaped scenario (no chemistry stack) that
 /// still exercises transform, sorting, compression, synthesis, and
-/// verification. ~10 ms per restart -- fast enough to multi-restart.
+/// verification. Well under a millisecond per restart, so a blocker that
+/// must stay running while later requests are submitted takes thousands of
+/// restarts (it is cancelled at a restart boundary, or runs to completion
+/// only where the test needs that).
 core::CompileScenario tiny_scenario(const std::string& name) {
   core::CompileScenario s;
   s.name = name;
@@ -374,7 +377,7 @@ TEST(Service, QueueFullRejectsLoudly) {
   options.max_queue = 2;
   service::Service svc(options);
   // Occupy the scheduler so subsequent submits stay queued.
-  const auto blocker = svc.submit(tiny_request("blocker", 64));
+  const auto blocker = svc.submit(tiny_request("blocker", 5000));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
   const auto q1 = svc.submit(tiny_request("q1"));
   const auto q2 = svc.submit(tiny_request("q2"));
@@ -389,7 +392,7 @@ TEST(Service, QueueFullRejectsLoudly) {
 
 TEST(Service, CancelWhileQueuedNeverRuns) {
   service::Service svc(small_service());
-  const auto blocker = svc.submit(tiny_request("blocker", 64));
+  const auto blocker = svc.submit(tiny_request("blocker", 5000));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
   const auto victim = svc.submit(tiny_request("victim"));
   EXPECT_EQ(victim->state(), RequestState::kQueued);
@@ -455,7 +458,7 @@ TEST(Service, DeadlineExpiredWhileQueued) {
 
 TEST(Service, DrainWithQueuedWorkCancelsItAndStopsAdmission) {
   service::Service svc(small_service());
-  const auto blocker = svc.submit(tiny_request("blocker", 32));
+  const auto blocker = svc.submit(tiny_request("blocker", 512));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
   const auto q1 = svc.submit(tiny_request("q1"));
   const auto q2 = svc.submit(tiny_request("q2"));
@@ -478,7 +481,7 @@ TEST(Service, CoalescingHammerServesOneExecutionToEveryone) {
   const std::string expected = canonical(reference.compile(request));
 
   service::Service svc(small_service());
-  const auto blocker = svc.submit(tiny_request("blocker", 64));
+  const auto blocker = svc.submit(tiny_request("blocker", 5000));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
 
   // N identical requests submitted from N threads while the scheduler is

@@ -28,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "sim/batched.hpp"
 #include "sim/statevector.hpp"
+#include "support/level_session.hpp"
 #include "verify/equivalence.hpp"
 #include "vqe/driver.hpp"
 
@@ -45,29 +46,6 @@ constexpr GateKind kAllKinds[] = {
     GateKind::kS,    GateKind::kSdg, GateKind::kRz,  GateKind::kRx,
     GateKind::kRy,   GateKind::kCnot, GateKind::kCz, GateKind::kSwap,
     GateKind::kXXrot, GateKind::kXYrot};
-
-/// Levels this host can actually run (portable always; higher if the CPU
-/// has them). Restores the entry level on destruction.
-class LevelSession {
- public:
-  LevelSession() : entry_(simd::level()) {
-    levels_.push_back(simd::Level::kPortable);
-    if (simd::set_level(simd::Level::kAvx2) == simd::Level::kAvx2)
-      levels_.push_back(simd::Level::kAvx2);
-    if (simd::set_level(simd::Level::kAvx512) == simd::Level::kAvx512)
-      levels_.push_back(simd::Level::kAvx512);
-    (void)simd::set_level(entry_);
-  }
-  ~LevelSession() { (void)simd::set_level(entry_); }
-
-  [[nodiscard]] const std::vector<simd::Level>& levels() const {
-    return levels_;
-  }
-
- private:
-  simd::Level entry_;
-  std::vector<simd::Level> levels_;
-};
 
 [[nodiscard]] gf2::BitVec random_bits(std::size_t n, Rng& rng) {
   gf2::BitVec v(n);

@@ -30,6 +30,9 @@ Gating rules, tuned so the gate is trustworthy across machines:
 * Metrics listed in ABS_EXACT must equal a pinned value exactly
   (determinism anchors, e.g. the all-to-all hardware target's water CNOT
   count == the committed Table-1 Adv baseline).
+* Metrics listed in BASELINE_EXACT must equal the committed baseline's
+  value exactly: every Table-1 count (JW/BK/GT/Adv of all 14 rows) and
+  every per-target count of bench_targets.
 * metrics prefixed info_ (cache hit counters etc.) are informational only.
 * A section or metric present in the baseline but missing from the fresh
   file fails the gate (coverage must not silently disappear); pass
@@ -135,6 +138,18 @@ ABS_EXACT = {
     "pipeline": {"*/trace_valid_json": 1.0, "*/trace_bit_identical": 1.0},
 }
 
+# suite -> "section/metric" globs whose fresh value must EQUAL the committed
+# baseline's (floor and ceiling at once). Compiles are pure functions of the
+# committed seeds, so a count that moves in either direction is a behavior
+# change: a faster search must reproduce every Table-1 cell (the paper's
+# "improve %" is measured against the GT column) and every per-target cost.
+# A deliberate change re-commits the baseline in the same change.
+BASELINE_EXACT = {
+    "table1": ("table1/*/jw", "table1/*/bk", "table1/*/gt", "table1/*/adv"),
+    "targets": ("targets/*/model_cnots", "targets/*/model_cost",
+                "targets/*/device_cost", "targets/*/routed_swaps"),
+}
+
 
 def is_higher_better(name):
     return any(h in name for h in HIGHER_BETTER_HINTS)
@@ -152,6 +167,11 @@ def abs_exact_for(suite, section, metric):
         if fnmatch.fnmatch(f"{section}/{metric}", pattern):
             return value
     return None
+
+
+def baseline_exact_for(suite, section, metric):
+    return any(fnmatch.fnmatch(f"{section}/{metric}", pattern)
+               for pattern in BASELINE_EXACT.get(suite, ()))
 
 
 def load(path):
@@ -197,6 +217,9 @@ def compare(suite, base_sections, fresh_sections, args, rows):
             if exact is not None:
                 ok = fresh_value == exact
                 detail = f"== {exact:g} (exact pin)"
+            elif baseline_exact_for(suite, section, metric):
+                ok = fresh_value == base_value
+                detail = f"== baseline {base_value:g} (exact pin)"
             elif floor is not None:
                 ok = fresh_value >= floor
                 detail = f">= {floor:g} (abs floor)"
