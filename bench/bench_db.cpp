@@ -1,20 +1,23 @@
-// Persistent compilation database: cold-build vs warm-serve (db/database.hpp).
+// Compilation database: cold compile vs warm serve (db/database.hpp behind
+// the service plan store, service/server.hpp).
 //
 // Workflow under test (the production cold/warm cycle):
-//   1. cold   compile a small Table-1 slice with a recording DatabaseBuilder
-//             attached to the pipeline cache; write femto_bench.fdb
-//   2. warm   reopen the file via PipelineOptions.database_path (mmap,
-//             read-only) and recompile the identical slice with
-//             verify-on-compile certifying the DB-served segments
+//   1. cold   compile a small Table-1 slice, one verified request per
+//             scenario, and store each (request -> canonical response)
+//             entry in femto_bench.fdb
+//   2. warm   serve the identical requests from a fresh service::Service
+//             whose plan store is backed by that file (mmap, read-only)
 //   3. lookup micro-benchmark of raw Database::lookup over every stored key
 //
 // Gated metrics (tools/check_bench.py):
-//   warm_equals_cold    1.0 exact pin -- every warm result matches its cold
-//                       result field-for-field and gate-for-gate (the
-//                       database's bit-identity contract, end to end)
-//   warm_verified       1.0 exact pin -- verify-on-compile certified every
-//                       warm circuit, i.e. DB-served artifacts pass the same
-//                       equivalence check as freshly synthesized ones
+//   warm_equals_cold    1.0 exact pin -- every warm response is the cold
+//                       response byte for byte: the file hit's decode and
+//                       re-encode reproduce the stored bytes (a file from
+//                       another build is refused by db::kCompileContract,
+//                       which test_db ties to the served bytes)
+//   warm_verified       1.0 exact pin -- every warm response carries a
+//                       passed verification certificate, i.e. the file
+//                       serves certified plans only
 //   warm_lookups_per_s  absolute floor -- serving from the mmap'd index must
 //                       stay at memory speed on any machine
 // info_* metrics (hit counters, sizes, speedups) are informational.
@@ -26,6 +29,8 @@
 #include "bench_harness.hpp"
 #include "core/pipeline.hpp"
 #include "db/database.hpp"
+#include "obs/metrics.hpp"
+#include "service/server.hpp"
 
 namespace {
 
@@ -57,14 +62,6 @@ std::vector<core::CompileScenario> make_scenarios() {
   return scenarios;
 }
 
-bool results_identical(const core::CompileResult& a,
-                       const core::CompileResult& b) {
-  return a.num_qubits == b.num_qubits && a.model_cnots == b.model_cnots &&
-         a.emitted_cnots == b.emitted_cnots &&
-         a.term_order == b.term_order &&
-         a.circuit.to_string() == b.circuit.to_string();
-}
-
 }  // namespace
 
 int main() {
@@ -72,13 +69,22 @@ int main() {
   const std::string db_path = "femto_bench.fdb";
   const std::vector<core::CompileScenario> scenarios = make_scenarios();
 
-  // ---- 1. cold: record and write ----------------------------------------
+  std::vector<core::CompileRequest> requests;
+  for (const core::CompileScenario& s : scenarios)
+    requests.push_back({.scenarios = {s}, .verify = true});
+
+  // ---- 1. cold: compile and write ----------------------------------------
   db::DatabaseBuilder builder;
-  std::vector<core::CompileResult> cold_results;
+  std::vector<std::string> cold_responses;
   h.run("db/cold_build", 1, [&] {
     core::CompilePipeline pipeline(core::PipelineOptions{});
-    pipeline.set_store(&builder);
-    cold_results = pipeline.compile_batch(scenarios);
+    cold_responses.clear();
+    for (const core::CompileRequest& r : requests) {
+      cold_responses.push_back(
+          service::protocol::canonical_response(pipeline.compile(r)));
+      builder.insert(service::protocol::coalesce_key(r),
+                     cold_responses.back());
+    }
   });
   if (const std::string err = builder.write(db_path); !err.empty()) {
     std::fprintf(stderr, "bench_db: %s\n", err.c_str());
@@ -94,27 +100,33 @@ int main() {
   }
   h.metric("info_db_bytes", static_cast<double>(database->file_bytes()));
 
-  // ---- 2. warm: serve from the database, verify-on-compile --------------
-  core::PipelineOptions warm_opt;
-  warm_opt.verify = true;
-  warm_opt.database_path = db_path;
-  std::vector<core::CompileResult> warm_results;
+  // ---- 2. warm: a fresh service serves every request from the file ------
+  std::vector<std::string> warm_responses;
   bool warm_verified = false;
-  synth::SynthesisCache::Stats warm_stats;
+  obs::Counter& file_hits = obs::registry().counter("cache.l2_hits");
+  obs::Counter& executions = obs::registry().counter("cache.misses");
+  const std::uint64_t file_hits_before = file_hits.value();
+  const std::uint64_t executions_before = executions.value();
   const double warm_s = h.run("db/warm_compile", 3, [&] {
-    core::CompilePipeline pipeline(warm_opt);
-    warm_results = pipeline.compile_batch(scenarios);
+    service::ServiceOptions options;
+    options.pipeline.workers = 1;  // every request is a file hit
+    options.database_path = db_path;
+    service::Service svc(options);
+    warm_responses.clear();
     warm_verified = true;
-    for (const verify::EquivalenceReport& r : pipeline.last_verification())
-      warm_verified = warm_verified && r.equivalent();
-    warm_stats = pipeline.cache().stats();
+    for (const core::CompileRequest& r : requests) {
+      const service::protocol::WireResponse& served = svc.submit(r)->wait();
+      warm_responses.push_back(
+          service::protocol::encode_response(served).encode());
+      for (const service::protocol::WireOutcome& oc : served.outcomes)
+        warm_verified = warm_verified && oc.verified.value_or(false);
+    }
   });
-  h.metric("info_l2_hits", static_cast<double>(warm_stats.l2_hits));
-  h.metric("info_l1_misses", static_cast<double>(warm_stats.misses));
-  bool identical = warm_results.size() == cold_results.size();
-  for (std::size_t i = 0; identical && i < warm_results.size(); ++i)
-    identical = results_identical(cold_results[i], warm_results[i]);
-  h.metric("warm_equals_cold", identical ? 1.0 : 0.0);
+  h.metric("info_l2_hits",
+           static_cast<double>(file_hits.value() - file_hits_before));
+  h.metric("info_executions",
+           static_cast<double>(executions.value() - executions_before));
+  h.metric("warm_equals_cold", warm_responses == cold_responses ? 1.0 : 0.0);
   h.metric("warm_verified", warm_verified ? 1.0 : 0.0);
 
   // ---- 3. raw lookup throughput over every stored key --------------------
@@ -140,10 +152,11 @@ int main() {
   h.metric("info_warm_compile_speedup",
            warm_s > 0.0 ? h.sections()[0].median_s / warm_s : 0.0);
 
-  std::printf("# cold build -> %s (%zu entries, %zu bytes); warm recompile "
+  std::printf("# cold build -> %s (%zu entries, %zu bytes); warm serve "
               "identical: %s, verified: %s\n",
               db_path.c_str(), database->entry_count(),
-              database->file_bytes(), identical ? "yes" : "NO",
+              database->file_bytes(),
+              warm_responses == cold_responses ? "yes" : "NO",
               warm_verified ? "yes" : "NO");
   return h.write_json() ? 0 : 1;
 }

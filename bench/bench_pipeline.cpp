@@ -11,8 +11,6 @@
 //    the single-shot compile).
 //  - Batch throughput: a transform x sorting scenario sweep batch-compiled
 //    in one call vs sequential single compiles.
-//  - Synthesis-cache effect: hits/misses across an 8-restart run (info_
-//    metrics: interleaving-dependent counters, excluded from the CI gate).
 //
 // Every quality metric (best_cnots) is deterministic for the committed
 // master seed and thread-count invariant, which is what the CI bench gate
@@ -128,20 +126,6 @@ int main() {
                 batch_results[i].model_cnots);
     h.section("batch/" + scenarios[i].name);
     h.metric("cnots", batch_results[i].model_cnots);
-  }
-
-  // E7d: synthesis-cache effect across an 8-restart run.
-  {
-    core::CompilePipeline pipeline({.workers = 0, .restarts = kRestarts});
-    const auto result = pipeline.compile_best(f.n, f.terms, sweep_options());
-    const auto stats = pipeline.cache().stats();
-    h.section("cache/restart8");
-    h.metric("info_hits", static_cast<double>(stats.hits));
-    h.metric("info_misses", static_cast<double>(stats.misses));
-    h.metric("best_cnots", result.best.model_cnots);
-    std::printf("\n# E7d synthesis cache over %zu restarts: %zu hits, %zu "
-                "misses\n",
-                kRestarts, stats.hits, stats.misses);
   }
 
   // E7e: tracing overhead + contracts (the obs/ subsystem's CI gate).

@@ -10,16 +10,20 @@
 //   serve_cold/plans_per_s              ABS_FLOOR -- scenario plans served
 //       per wall-clock second across 4 concurrent client connections
 //       against a cold daemon pipeline (protocol + scheduling overhead
-//       included).
+//       included). Each client sends the suite under its own seed, so no
+//       request is a plan-store hit; a second pass of the same requests
+//       (all store hits) is reported as info_warm_plans_per_s.
 //   serve_cold/served_equals_inprocess  ABS_EXACT 1.0 -- every served
-//       response (circuits included) is byte-identical to the canonical
-//       encoding of the same seeded request compiled in-process.
+//       response of both passes (circuits included) is byte-identical to
+//       the canonical encoding of the same seeded request compiled
+//       in-process.
 //   coalesce/coalesced_identical        ABS_EXACT 1.0 -- identical seeded
-//       requests submitted while the scheduler is busy collapse onto one
-//       execution and every waiter gets the same bytes as in-process.
+//       requests the daemon has not served before, submitted while the
+//       scheduler is busy, collapse onto one execution and every waiter
+//       gets the same bytes as in-process.
 //   db_warm/db_warm_equals_inprocess    ABS_EXACT 1.0 -- a daemon serving
-//       from a prebuilt compilation database (.fdb) returns the same bytes
-//       as the cold in-process compile.
+//       from a prebuilt compilation database (.fdb) of the in-process
+//       responses answers every request byte-identically.
 //   deadline/deadline_enforced          ABS_EXACT 1.0 -- an impossible
 //       deadline terminates DEADLINE_EXCEEDED at a restart boundary
 //       instead of running to completion.
@@ -128,7 +132,7 @@ Daemon boot_daemon(const std::string& femtod, const std::string& socket_path,
     options.socket_path = socket_path;
     options.service.pipeline.workers = 2;
     options.service.pipeline.restarts = 1;
-    if (!db_path.empty()) options.service.pipeline.database_path = db_path;
+    if (!db_path.empty()) options.service.database_path = db_path;
     d.server = std::make_unique<service::SocketServer>(std::move(options));
     if (const std::string err = d.server->start(); !err.empty()) {
       std::fprintf(stderr, "bench_service: %s\n", err.c_str());
@@ -163,12 +167,6 @@ std::optional<service::CompileClient> make_client(
   auto conn = service::wait_for_server(socket_path, 10000);
   if (!conn.has_value()) return std::nullopt;
   return service::CompileClient(std::move(*conn));
-}
-
-std::string canonical(const core::CompileResponse& response) {
-  return service::protocol::encode_response(
-             service::protocol::summarize(response, /*include_circuit=*/true))
-      .encode();
 }
 
 double stats_field(service::CompileClient& client, const char* key) {
@@ -235,68 +233,100 @@ int main(int argc, char** argv) {
                    response.detail.c_str());
       return 1;
     }
-    reference.push_back(canonical(response));
+    reference.push_back(service::protocol::canonical_response(response));
   }
   h.metric("info_requests", static_cast<double>(requests.size()));
+
+  // The serve_cold clients send the suite under a seed of their own, so
+  // every request they send is one the daemon has not served.
+  const std::size_t kClients = 4;
+  std::vector<std::vector<core::CompileRequest>> client_requests(kClients);
+  std::vector<std::vector<std::string>> client_reference(kClients);
+  for (std::size_t c = 0; c < kClients; ++c)
+    for (core::CompileRequest r : requests) {
+      r.seed = kSeed + 100 + c;
+      client_reference[c].push_back(service::protocol::canonical_response(
+          reference_pipeline.compile(r)));
+      client_requests[c].push_back(std::move(r));
+    }
 
   const std::string socket_base =
       "/tmp/femtod-bench-" + std::to_string(::getpid());
   Daemon daemon = boot_daemon(femtod, socket_base + "-1.sock", "");
 
   // ---- cold concurrent serving ------------------------------------------
-  h.section("serve_cold");
-  const std::size_t kClients = 4;
-  std::vector<double> latencies_ms(kClients * requests.size(), 0.0);
+  // One pass: every client sends its requests over its own connection and
+  // byte-compares each answer with the in-process reference.
   std::atomic<int> mismatches{0};
   std::atomic<int> transport_errors{0};
-  const double elapsed_s = bench::time_once([&] {
-    std::vector<std::thread> clients;
-    for (std::size_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        auto client = make_client(daemon.socket_path);
-        if (!client.has_value()) {
-          transport_errors.fetch_add(1);
-          return;
-        }
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-          // Stagger per client so identical requests overlap in flight --
-          // the daemon may coalesce them; the bytes must not change.
-          const std::size_t idx = (c + i) % requests.size();
-          std::string err;
-          const auto started = std::chrono::steady_clock::now();
-          const auto served = client->compile(
-              requests[idx], "c" + std::to_string(c) + "-" + std::to_string(i),
-              err, /*include_circuit=*/true);
-          latencies_ms[c * requests.size() + i] =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - started)
-                  .count();
-          if (!served.has_value()) {
-            std::fprintf(stderr, "bench_service: compile failed: %s\n",
-                         err.c_str());
+  auto serve_pass = [&](const std::string& tag,
+                        std::vector<double>& latencies_ms) {
+    latencies_ms.assign(kClients * requests.size(), 0.0);
+    return bench::time_once([&] {
+      std::vector<std::thread> clients;
+      for (std::size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          auto client = make_client(daemon.socket_path);
+          if (!client.has_value()) {
             transport_errors.fetch_add(1);
-          } else if (served->state != service::RequestState::kDone ||
-                     served->canonical_response != reference[idx]) {
-            mismatches.fetch_add(1);
+            return;
           }
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-  });
+          for (std::size_t i = 0; i < requests.size(); ++i) {
+            std::string err;
+            const auto started = std::chrono::steady_clock::now();
+            const auto served = client->compile(
+                client_requests[c][i],
+                tag + std::to_string(c) + "-" + std::to_string(i), err,
+                /*include_circuit=*/true);
+            latencies_ms[c * requests.size() + i] =
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - started)
+                    .count();
+            if (!served.has_value()) {
+              std::fprintf(stderr, "bench_service: compile failed: %s\n",
+                           err.c_str());
+              transport_errors.fetch_add(1);
+            } else if (served->state != service::RequestState::kDone ||
+                       served->canonical_response != client_reference[c][i]) {
+              mismatches.fetch_add(1);
+            }
+          }
+        });
+      }
+      for (std::thread& t : clients) t.join();
+    });
+  };
   const double plans = static_cast<double>(kClients * requests.size());
-  h.metric("plans_per_s", elapsed_s > 0.0 ? plans / elapsed_s : 0.0);
-  h.metric("served_equals_inprocess",
-           mismatches.load() == 0 && transport_errors.load() == 0 ? 1.0 : 0.0);
+
+  h.section("serve_cold");
+  std::vector<double> latencies_ms;
+  const double cold_s = serve_pass("c", latencies_ms);
+  h.metric("plans_per_s", cold_s > 0.0 ? plans / cold_s : 0.0);
   std::sort(latencies_ms.begin(), latencies_ms.end());
   h.metric("info_p50_ms", latencies_ms[latencies_ms.size() / 2]);
   h.metric("info_p99_ms", latencies_ms[latencies_ms.size() * 99 / 100]);
   h.metric("info_clients", static_cast<double>(kClients));
 
+  // The same requests again: every one is a plan-store hit (info only).
+  const double warm_s = serve_pass("w", latencies_ms);
+  h.metric("info_warm_plans_per_s", warm_s > 0.0 ? plans / warm_s : 0.0);
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  h.metric("info_warm_p50_ms", latencies_ms[latencies_ms.size() / 2]);
+  h.metric("served_equals_inprocess",
+           mismatches.load() == 0 && transport_errors.load() == 0 ? 1.0 : 0.0);
+
   // ---- coalescing under a busy scheduler --------------------------------
+  // The hammered request is one the daemon has not served yet (a fresh
+  // seed): a served one would be answered from the plan store at submit
+  // and never reach coalescing.
   h.section("coalesce");
   bool coalesce_ok = false;
   double coalesced_delta = -1.0;
+  core::CompileRequest hammer_request = requests[0];
+  hammer_request.seed = kSeed + 1;
+  const std::string hammer_reference =
+      service::protocol::canonical_response(
+          reference_pipeline.compile(hammer_request));
   {
     auto stats_client = make_client(daemon.socket_path);
     auto blocker_conn = service::wait_for_server(daemon.socket_path, 10000);
@@ -325,8 +355,8 @@ int main(int argc, char** argv) {
           std::string err;
           const auto served =
               client.has_value()
-                  ? client->compile(requests[0], "h" + std::to_string(t), err,
-                                    /*include_circuit=*/true)
+                  ? client->compile(hammer_request, "h" + std::to_string(t),
+                                    err, /*include_circuit=*/true)
                   : std::nullopt;
           if (served.has_value())
             hammered[t] = served->canonical_response;
@@ -360,7 +390,8 @@ int main(int argc, char** argv) {
       coalesced_delta =
           stats_field(*stats_client, "coalesced") - coalesced_before;
       bool all_equal = hammer_errors.load() == 0;
-      for (const std::string& c : hammered) all_equal = all_equal && c == reference[0];
+      for (const std::string& c : hammered)
+        all_equal = all_equal && c == hammer_reference;
       coalesce_ok = ok && blocker_done && all_equal &&
                     coalesced_delta == static_cast<double>(kHammers - 1);
     }
@@ -376,13 +407,11 @@ int main(int argc, char** argv) {
   bool db_ok = false;
   {
     db::DatabaseBuilder builder;
-    core::CompilePipeline recorder({.workers = 2});
-    recorder.set_store(&builder);
-    bool recorded = true;
-    for (const core::CompileRequest& r : requests)
-      recorded = recorder.compile(r).done() && recorded;
+    for (std::size_t i = 0; i < requests.size(); ++i)
+      builder.insert(service::protocol::coalesce_key(requests[i]),
+                     reference[i]);
     const std::string err = builder.write(db_path);
-    if (!recorded || !err.empty()) {
+    if (!err.empty()) {
       std::fprintf(stderr, "bench_service: db build failed: %s\n",
                    err.c_str());
     } else {
@@ -456,14 +485,10 @@ int main(int argc, char** argv) {
     const std::string chaos_db_path = socket_base + "-chaos.fdb";
     bool chaos_db_ok = false;
     db::DatabaseBuilder builder;
-    bool recorded = true;
-    {
-      core::CompilePipeline recorder({.workers = 2});
-      recorder.set_store(&builder);
-      for (const core::CompileRequest& r : requests)
-        recorded = recorder.compile(r).done() && recorded;
-    }
-    if (recorded && builder.write(chaos_db_path).empty()) {
+    for (std::size_t i = 0; i < requests.size(); ++i)
+      builder.insert(service::protocol::coalesce_key(requests[i]),
+                     reference[i]);
+    if (builder.write(chaos_db_path).empty()) {
       const std::string bytes = read_file(chaos_db_path);
       fail::registry().arm_one({"db.write.short", 1.0, 1});
       const std::string short_err = builder.write(chaos_db_path);

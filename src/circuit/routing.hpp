@@ -4,7 +4,7 @@
 // (empty = all-to-all). route_circuit transforms a circuit so that every
 // two-qubit gate acts on an adjacent physical pair: it maintains a
 // logical->physical placement, walks the distant operand along a BFS
-// shortest path (precomputed next-hop tables over graph::Digraph) inserting
+// shortest path (precomputed breadth-first next-hop tables) inserting
 // SWAPs, and finally restores the identity permutation by token-sliding on a
 // spanning tree. Because the placement starts AND ends at the identity, the
 // routed circuit implements exactly the original unitary -- which is what
@@ -12,6 +12,8 @@
 // original compilation spec (SWAPs are Clifford and fold into the tableau).
 #pragma once
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,11 +28,17 @@ class CouplingMap {
   /// Default: unconstrained (all-to-all); routing is a no-op.
   CouplingMap() = default;
 
+  /// Builds the O(n^2) routing tables once; copies share them read-only, so
+  /// a target copied into every restart job costs a pointer, not 16 n^2
+  /// bytes.
   CouplingMap(std::size_t n,
-              std::vector<std::pair<std::size_t, std::size_t>> edges)
-      : n_(n), edges_(std::move(edges)) {
-    FEMTO_EXPECTS(n_ > 0);
-    rebuild_tables();
+              std::vector<std::pair<std::size_t, std::size_t>> edges) {
+    FEMTO_EXPECTS(n > 0);
+    auto tables = std::make_shared<Tables>();
+    tables->n = n;
+    tables->edges = std::move(edges);
+    build_tables(*tables);
+    tables_ = std::move(tables);
   }
 
   /// Nearest-neighbor chain 0 - 1 - ... - (n-1).
@@ -49,11 +57,14 @@ class CouplingMap {
     return CouplingMap(n, std::move(edges));
   }
 
-  [[nodiscard]] bool constrained() const { return n_ > 0; }
-  [[nodiscard]] std::size_t num_qubits() const { return n_; }
+  [[nodiscard]] bool constrained() const { return tables_ != nullptr; }
+  [[nodiscard]] std::size_t num_qubits() const {
+    return constrained() ? tables_->n : 0;
+  }
   [[nodiscard]] const std::vector<std::pair<std::size_t, std::size_t>>& edges()
       const {
-    return edges_;
+    static const std::vector<std::pair<std::size_t, std::size_t>> kNone;
+    return constrained() ? tables_->edges : kNone;
   }
 
   [[nodiscard]] bool adjacent(std::size_t a, std::size_t b) const {
@@ -64,65 +75,83 @@ class CouplingMap {
   /// (distance 1). graph::kUnreachable across disconnected components.
   [[nodiscard]] std::size_t distance(std::size_t a, std::size_t b) const {
     if (!constrained()) return a == b ? 0 : 1;
-    FEMTO_EXPECTS(a < n_ && b < n_);
-    return dist_[a][b];
+    FEMTO_EXPECTS(a < tables_->n && b < tables_->n);
+    return tables_->dist[a][b];
   }
 
   /// First vertex on a shortest path from `a` toward `b` (a != b, reachable).
   [[nodiscard]] std::size_t next_hop(std::size_t a, std::size_t b) const {
-    FEMTO_EXPECTS(constrained() && a < n_ && b < n_ && a != b);
-    FEMTO_EXPECTS(dist_[a][b] != graph::kUnreachable);
-    return next_[a][b];
+    FEMTO_EXPECTS(constrained() && a < tables_->n && b < tables_->n && a != b);
+    FEMTO_EXPECTS(tables_->dist[a][b] != graph::kUnreachable);
+    return tables_->next[a][b];
   }
 
   /// Diagnostic for inconsistent configurations; empty string = valid.
   [[nodiscard]] std::string validate(std::size_t circuit_qubits) const {
     if (!constrained()) return "";
-    if (n_ < circuit_qubits)
-      return "coupling map has " + std::to_string(n_) +
+    const std::size_t n = tables_->n;
+    if (n < circuit_qubits)
+      return "coupling map has " + std::to_string(n) +
              " qubits but the circuit needs " + std::to_string(circuit_qubits);
-    for (const auto& [a, b] : edges_) {
-      if (a >= n_ || b >= n_)
+    for (const auto& [a, b] : tables_->edges) {
+      if (a >= n || b >= n)
         return "coupling edge (" + std::to_string(a) + "," +
-               std::to_string(b) + ") out of range for " + std::to_string(n_) +
+               std::to_string(b) + ") out of range for " + std::to_string(n) +
                " qubits";
       if (a == b) return "coupling self-loop at qubit " + std::to_string(a);
     }
-    for (std::size_t v = 1; v < n_; ++v)
-      if (dist_[0][v] == graph::kUnreachable)
+    for (std::size_t v = 1; v < n; ++v)
+      if (tables_->dist[0][v] == graph::kUnreachable)
         return "coupling graph is disconnected (qubit " + std::to_string(v) +
                " unreachable from qubit 0)";
     return "";
   }
 
  private:
-  void rebuild_tables() {
-    graph::Digraph g(n_);
-    for (const auto& [a, b] : edges_) {
-      if (a >= n_ || b >= n_ || a == b) continue;  // reported by validate()
-      g.add_edge(a, b);
-      g.add_edge(b, a);
+  struct Tables {
+    std::size_t n = 0;
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+    std::vector<std::vector<std::size_t>> dist;
+    std::vector<std::vector<std::size_t>> next;
+  };
+
+  /// Breadth-first search from every qubit over sorted adjacency lists:
+  /// O(n (n + e)). Neighbors are scanned in ascending order, so each
+  /// shortest-path tree -- and with it every next hop -- is the one
+  /// graph::bfs_shortest_paths picks.
+  static void build_tables(Tables& t) {
+    const std::size_t n = t.n;
+    std::vector<std::vector<std::size_t>> adjacent(n);
+    for (const auto& [a, b] : t.edges) {
+      if (a >= n || b >= n || a == b) continue;  // reported by validate()
+      adjacent[a].push_back(b);
+      adjacent[b].push_back(a);
     }
-    dist_.assign(n_, {});
-    next_.assign(n_, {});
-    for (std::size_t from = 0; from < n_; ++from) {
-      const graph::BfsPaths paths = graph::bfs_shortest_paths(g, from);
-      dist_[from] = paths.dist;
-      // next_[from][to]: walk the parent chain from `to` back to `from`.
-      next_[from].assign(n_, graph::kUnreachable);
-      for (std::size_t to = 0; to < n_; ++to) {
-        if (to == from || paths.dist[to] == graph::kUnreachable) continue;
-        std::size_t hop = to;
-        while (paths.parent[hop] != from) hop = paths.parent[hop];
-        next_[from][to] = hop;
+    for (std::vector<std::size_t>& nbrs : adjacent) {
+      std::sort(nbrs.begin(), nbrs.end());
+      nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
+    }
+    t.dist.assign(n, std::vector<std::size_t>(n, graph::kUnreachable));
+    t.next.assign(n, std::vector<std::size_t>(n, graph::kUnreachable));
+    std::vector<std::size_t> order;
+    for (std::size_t from = 0; from < n; ++from) {
+      std::vector<std::size_t>& dist = t.dist[from];
+      std::vector<std::size_t>& next = t.next[from];
+      dist[from] = 0;
+      order.assign(1, from);
+      for (std::size_t head = 0; head < order.size(); ++head) {
+        const std::size_t v = order[head];
+        for (const std::size_t u : adjacent[v]) {
+          if (dist[u] != graph::kUnreachable) continue;
+          dist[u] = dist[v] + 1;
+          next[u] = v == from ? u : next[v];  // first hop of the tree path
+          order.push_back(u);
+        }
       }
     }
   }
 
-  std::size_t n_ = 0;
-  std::vector<std::pair<std::size_t, std::size_t>> edges_;
-  std::vector<std::vector<std::size_t>> dist_;
-  std::vector<std::vector<std::size_t>> next_;
+  std::shared_ptr<const Tables> tables_;  // null = unconstrained
 };
 
 struct RoutingResult {

@@ -1,6 +1,6 @@
 // Deterministic fault injection: a process-global registry of named
 // failpoints threaded through the serving stack's failure-prone seams
-// (db writes, socket accept/recv, cache inserts, pipeline restarts).
+// (db writes, socket accept/recv, plan-store inserts, pipeline restarts).
 //
 // A failpoint is evaluated with FEMTO_FAILPOINT("name"): it returns true
 // ("fire the fault") with the armed probability, drawn from a splitmix64
@@ -36,8 +36,9 @@
 //                     before any byte is read (client sees EOF -> retries)
 //   service.recv      SocketServer: the connection is torn down mid-read
 //                     (client reconnects and resubmits)
-//   cache.insert      SynthesisCache: the memo insert is dropped (as if
-//                     evicted instantly); the caller still gets its circuit
+//   cache.insert      service::Service: a plan-store insert is dropped (as
+//                     if evicted instantly); the caller still gets its
+//                     answer and the next repeat recompiles identical bytes
 //   pipeline.restart  CompilePipeline restart boundary: the finished job is
 //                     thrown away and recomputed once (purity makes the
 //                     retry bit-identical; counted in

@@ -49,7 +49,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "synth/pauli_exponential.hpp"
-#include "synth/synthesis_cache.hpp"
 #include "synth/target.hpp"
 #include "transform/linear_encoding.hpp"
 #include "verify/spec.hpp"
@@ -91,10 +90,6 @@ struct CompileOptions {
   /// targets re-weight the GTSP/annealing/PSO objectives, lower emission to
   /// native gates, and (when connectivity-constrained) SWAP-route.
   synth::HardwareTarget target = synth::HardwareTarget::all_to_all_cnot();
-  /// Optional shared memo for per-segment synthesis (core/pipeline.hpp
-  /// injects one per multi-restart / batch run). Exact memoization of a pure
-  /// function: results are bit-identical with or without it.
-  synth::SynthesisCache* synthesis_cache = nullptr;
 };
 
 /// The GT search scores candidates with the exact pipeline cost
@@ -662,13 +657,8 @@ inline void stage_emit(StageContext& ctx, CompileResult& result, Rng& rng) {
                                ? legacy_cost
                                : synth::sequence_model_cost(ordered, hw);
       if (options.emit_circuit) {
-        const circuit::QuantumCircuit c =
-            options.synthesis_cache != nullptr
-                ? options.synthesis_cache->synthesize(
-                      n, ordered, synth::MergePolicy::kMerge, hw.entangler)
-                : synth::synthesize_sequence(
-                      n, ordered, synth::MergePolicy::kMerge, hw.entangler);
-        builder.push(c);
+        builder.push(synth::synthesize_sequence(
+            n, ordered, synth::MergePolicy::kMerge, hw.entangler));
         for (const synth::RotationBlock& b : ordered)
           result.spec.push_back(verify::SpecOp::from_block(b));
       }

@@ -21,10 +21,9 @@
 // seed) and writes only its own output slot; winner selection is a pure
 // reduction over the complete slot vector. The same master seeds therefore
 // yield bit-identical results for ANY worker count -- this is what makes
-// the CI bench-regression gates trustworthy. A shared SynthesisCache
-// deduplicates repeated per-segment synthesis across jobs; it memoizes a
-// pure function, so it never changes results either (see
-// synth/synthesis_cache.hpp).
+// the CI bench-regression gates trustworthy. Nothing here caches or
+// persists results: the serving layer memoizes whole requests
+// (service/server.hpp), the level at which repeats actually occur.
 //
 // Cancellation and deadlines are cooperative and checked at RESTART
 // boundaries: a restart job either runs to completion or is skipped before
@@ -37,10 +36,10 @@
 // the same contract (see core/gamma_search.hpp, opt/gtsp.hpp). All per-job
 // caches and per-thread scratch buffers are confined to one job's stack or
 // thread, so the fan-out shares nothing mutable. A CompilePipeline serves
-// one compile() call at a time (the service layer serializes requests); the
-// shared cache underneath is fully thread-safe.
+// one compile() call at a time (the service layer serializes requests).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -53,7 +52,6 @@
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
 #include "core/compiler.hpp"
-#include "db/database.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/restart.hpp"
@@ -138,7 +136,7 @@ struct CompileRequest {
   std::size_t restarts = 1;
   /// When set, overrides every scenario's master seed: an explicit seed is
   /// the request-level reproducibility handle (same seed = bit-identical
-  /// plan, in-process or daemon-served, cold or cache-warm).
+  /// plan, in-process or daemon-served, compiled or served from a store).
   std::optional<std::uint64_t> seed;
   /// Wall-clock budget in seconds (0 = none), measured from the start of
   /// compile() unless deadline_at overrides it. Checked cooperatively at
@@ -176,6 +174,22 @@ struct CompileResponse {
   [[nodiscard]] bool done() const { return status == RequestStatus::kDone; }
 };
 
+/// Widest register a request may name (scenario num_qubits, and target
+/// coupling maps, which must match it). A compile allocates per-qubit state
+/// before any search starts, and a coupling map of n qubits holds 16 n^2
+/// bytes of routing tables (16 MiB at this bound, shared by every copy of
+/// the target); Table 1 peaks at 16 qubits. The wire decoders enforce it
+/// too, before a coupling map is built.
+inline constexpr std::size_t kMaxQubits = 1024;
+
+/// Most restart jobs (scenarios x targets x restarts) one request may ask
+/// for. compile() allocates a job slot and a result slot per restart up
+/// front, so an unbounded product is a memory bomb; jobs only point at
+/// their cell's options, which are copied while the job runs. The bound
+/// sits well above the largest request in the repository (bench_service's
+/// 100,000-restart deadline probe).
+inline constexpr std::size_t kMaxRestartJobs = 250'000;
+
 /// Diagnostic for an invalid request; empty string = valid. The service
 /// layer validates BEFORE queueing (a daemon must reject loudly, never
 /// abort), and compile() validates again on entry.
@@ -189,7 +203,30 @@ struct CompileResponse {
   if (!(r.deadline_s >= 0.0))
     return "CompileRequest.deadline_s must be >= 0 and finite";
   const std::size_t T = r.targets.empty() ? 1 : r.targets.size();
+  // Every factor is >= 1 here, and jobs <= kMaxRestartJobs before each
+  // multiply, so the product never overflows.
+  std::size_t jobs = 1;
+  for (const std::size_t factor : {r.scenarios.size(), T, r.restarts}) {
+    if (factor > kMaxRestartJobs / jobs)
+      return "CompileRequest asks for more than " +
+             std::to_string(kMaxRestartJobs) +
+             " restart jobs (scenarios x targets x restarts); split it";
+    jobs *= factor;
+  }
   for (const CompileScenario& s : r.scenarios) {
+    if (s.num_qubits > kMaxQubits)
+      return "scenario '" + s.name + "': num_qubits " +
+             std::to_string(s.num_qubits) + " exceeds the maximum of " +
+             std::to_string(kMaxQubits);
+    for (const fermion::ExcitationTerm& term : s.terms) {
+      const std::size_t top =
+          term.is_double() ? std::max({term.p, term.q, term.r, term.s})
+                           : std::max(term.p, term.r);
+      if (top >= s.num_qubits)
+        return "scenario '" + s.name + "': term index " +
+               std::to_string(top) + " is out of range for " +
+               std::to_string(s.num_qubits) + " qubits";
+    }
     for (std::size_t t = 0; t < T; ++t) {
       CompileOptions o = s.options;
       if (!r.targets.empty()) o.target = r.targets[t];
@@ -202,17 +239,13 @@ struct CompileResponse {
 }
 
 struct PipelineOptions {
-  // NOTE: there is deliberately NO positional constructor. The historical
-  // (workers, restarts, bool, bool) form put share_synthesis_cache and
-  // verify side by side -- a silent-transposition bug waiting to happen.
-  // Use designated initializers or field assignment.
+  // NOTE: there is deliberately NO positional constructor: use designated
+  // initializers or field assignment.
 
   /// Worker threads; 0 = hardware concurrency.
   std::size_t workers = 0;
   /// Restarts per compile in compile_best / compile_batch_best.
   std::size_t restarts = 1;
-  /// Share one synthesis memo across all jobs of a call.
-  bool share_synthesis_cache = true;
   /// Default for the adapter entry points (compile_best & co.); a
   /// CompileRequest carries its own verify flag. Non-default targets
   /// certify the LOWERED/routed circuit, so the routing and native-gate
@@ -220,25 +253,6 @@ struct PipelineOptions {
   bool verify = false;
   /// Checker knobs used when verification runs.
   verify::EquivalenceOptions verify_options;
-  /// Path to a persistent compilation database (db/database.hpp), attached
-  /// as a read-through L2 behind the shared in-memory memo. Empty = no
-  /// database. The file is opened read-only (mmap, shared across threads
-  /// and processes); a path that fails to open is a loud constructor error,
-  /// never a silently empty database. The database serves the same pure
-  /// function the cache memoizes, so results are bit-identical with the
-  /// database enabled, disabled, cold, or warm -- and verify-on-compile
-  /// certifies served artifacts like any other.
-  std::string database_path;
-  /// Degrade instead of aborting when database_path fails to open: the
-  /// pipeline logs loudly, raises the service.degraded gauge, and serves
-  /// from pure in-process synthesis. Because the database only memoizes a
-  /// pure function, degraded results are bit-identical to a pipeline with
-  /// no database at all. Default off: an unopenable database stays a hard
-  /// constructor error unless the operator opted into degradation
-  /// (femtod --degrade-on-db-error).
-  bool degrade_on_db_error = false;
-  /// Memory bound for the shared synthesis cache (0 fields = unbounded).
-  synth::SynthesisCache::Budget cache_budget;
 
   /// Diagnostic for inconsistent configurations; empty string = valid.
   [[nodiscard]] std::string validate() const {
@@ -260,37 +274,11 @@ struct PipelineOptions {
 class CompilePipeline {
  public:
   explicit CompilePipeline(PipelineOptions options = {})
-      : options_(std::move(options)),
-        pool_(options_.workers),
-        cache_(options_.cache_budget) {
+      : options_(std::move(options)), pool_(options_.workers) {
     if (const std::string err = options_.validate(); !err.empty()) {
       std::fprintf(stderr, "femto: invalid PipelineOptions: %s\n",
                    err.c_str());
       FEMTO_EXPECTS(false && "invalid PipelineOptions (diagnostic above)");
-    }
-    if (!options_.database_path.empty()) {
-      std::string err;
-      database_ = db::Database::open(options_.database_path, &err);
-      if (!database_.has_value()) {
-        if (options_.degrade_on_db_error) {
-          db_degraded_ = true;
-          obs::registry().gauge("service.degraded").set(1);
-          std::fprintf(
-              stderr,
-              "femto: DEGRADED: cannot open compilation database: %s; "
-              "serving from in-process synthesis only (results remain "
-              "bit-identical to a database-free pipeline)\n",
-              err.c_str());
-        } else {
-          std::fprintf(stderr,
-                       "femto: cannot open compilation database: %s\n",
-                       err.c_str());
-          FEMTO_EXPECTS(false &&
-                        "cannot open compilation database (diagnostic above)");
-        }
-      } else {
-        cache_.set_store(&*database_);
-      }
     }
   }
 
@@ -298,20 +286,6 @@ class CompilePipeline {
     return pool_.worker_count();
   }
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
-  [[nodiscard]] const synth::SynthesisCache& cache() const { return cache_; }
-  /// Mutable cache access (budget changes, attaching a recording store).
-  [[nodiscard]] synth::SynthesisCache& mutable_cache() { return cache_; }
-  /// The database opened from PipelineOptions.database_path, or nullptr.
-  [[nodiscard]] const db::Database* database() const {
-    return database_.has_value() ? &*database_ : nullptr;
-  }
-  /// True iff database_path was set but failed to open and
-  /// degrade_on_db_error accepted serving without it.
-  [[nodiscard]] bool db_degraded() const { return db_degraded_; }
-  /// Attaches a second-level store (e.g. a db::DatabaseBuilder recording a
-  /// cold run for femto-db). Replaces the database from database_path; call
-  /// before compiling, not concurrently with it.
-  void set_store(synth::SynthesisStore* store) { cache_.set_store(store); }
   [[nodiscard]] ThreadPool& pool() { return pool_; }
 
   /// Verification verdicts of the most recent compile, in job order
@@ -354,15 +328,12 @@ class CompilePipeline {
     for (std::size_t i = 0; i < S; ++i) {
       const CompileScenario& s = request.scenarios[i];
       for (std::size_t t = 0; t < T; ++t) {
-        CompileOptions base = s.options;
+        CompileOptions& base = expanded[i * T + t];
+        base = s.options;
         if (!request.targets.empty()) base.target = request.targets[t];
         if (request.seed.has_value()) base.seed = *request.seed;
-        expanded[i * T + t] = base;
-        for (std::size_t r = 0; r < R; ++r) {
-          Job job{s.num_qubits, &s.terms, base, &s.name, r};
-          job.options.seed = opt::restart_seed(base.seed, r);
-          jobs.push_back(std::move(job));
-        }
+        for (std::size_t r = 0; r < R; ++r)
+          jobs.push_back({s.num_qubits, &s.terms, &base, &s.name, r});
       }
     }
 
@@ -498,10 +469,12 @@ class CompilePipeline {
   }
 
  private:
+  /// One restart of one (scenario, target) cell. The cell's options are
+  /// copied only while the job runs, so queued jobs hold no per-job state.
   struct Job {
     std::size_t num_qubits = 0;
     const std::vector<fermion::ExcitationTerm>* terms = nullptr;
-    CompileOptions options;
+    const CompileOptions* cell = nullptr;
     /// Trace-span labels only; never read by the compiler itself.
     const std::string* scenario_name = nullptr;
     std::size_t restart = 0;
@@ -547,14 +520,13 @@ class CompilePipeline {
               "exceeded)";
         return;
       }
+      CompileOptions options = *jobs[i].cell;
+      options.seed = opt::restart_seed(options.seed, jobs[i].restart);
       obs::Span span("restart", "pipeline");
       span.arg("restart", jobs[i].restart);
       if (jobs[i].scenario_name != nullptr)
         span.arg("scenario", *jobs[i].scenario_name);
-      span.arg("target", jobs[i].options.target.name);
-      CompileOptions options = jobs[i].options;
-      if (options_.share_synthesis_cache && options.emit_circuit)
-        options.synthesis_cache = &cache_;
+      span.arg("target", options.target.name);
       results[i] = compile_vqe(jobs[i].num_qubits, *jobs[i].terms, options);
       if (FEMTO_FAILPOINT("pipeline.restart")) {
         // Injected transient fault at the restart boundary: throw the
@@ -628,9 +600,6 @@ class CompilePipeline {
 
   PipelineOptions options_;
   ThreadPool pool_;
-  synth::SynthesisCache cache_;
-  std::optional<db::Database> database_;
-  bool db_degraded_ = false;
   std::vector<verify::EquivalenceReport> last_verification_;
 };
 

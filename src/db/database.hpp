@@ -1,21 +1,23 @@
-// On-disk, memory-mapped, versioned database of compilation artifacts.
+// On-disk, memory-mapped, versioned bytes-to-bytes container: the
+// persistent half of the femtod plan store (service/server.hpp).
 //
-// Precompute once, serve at memory speed: circuits synthesized by the
-// compile pipeline are stored keyed by their canonical block-sequence
-// normal form (db/canonical.hpp) so repeat and restart traffic -- and every
-// later process -- goes from O(compile) to O(hash). The file is opened
-// read-only and shared across threads and processes via mmap; lookups are
-// a binary search over a sorted (hash, key) index followed by a full key
-// compare (a hash collision must compare unequal rather than silently serve
-// the wrong circuit, mirroring synth/synthesis_cache.hpp).
+// Each entry maps a canonical compile request (the coalesce_key bytes of
+// service/protocol.hpp) to the canonical response bytes a DONE run of that
+// request served. db/ knows nothing about either encoding: it stores,
+// checksums and looks up opaque byte strings. The file is opened read-only
+// and shared across threads and processes via mmap; lookups are a binary
+// search over a sorted (hash, key) index followed by a full key compare (a
+// hash collision must compare unequal rather than silently serve another
+// request's response).
 //
 // File layout (all integers little-endian):
 //
 //   [0,  8)  magic "FMDB01\0\0"
 //   [8, 12)  format version   (kFormatVersion; bump on any layout change)
-//   [12,16)  synthesis contract version (kSynthesisContract; bump whenever
-//            synthesize_sequence's emission changes, so stale artifacts are
-//            rejected instead of breaking the bit-identity guarantee)
+//   [12,16)  compile contract (kCompileContract; bump whenever any served
+//            byte can change -- a compile result, the request encoding or
+//            the response encoding -- so stale responses are rejected
+//            instead of breaking byte-identity)
 //   [16,20)  endianness tag 0x01020304
 //   [20,24)  section count
 //   [24,32)  entry count
@@ -29,12 +31,8 @@
 //   kIndex   sorted entries of 32 bytes:
 //            {key_hash u64, key_off u64, key_len u32, value_len u32,
 //             value_off u64}, ordered by (key_hash, key bytes)
-//   kKeys    canonical key blob (offsets relative to section start)
-//   kValues  serialized circuits (u32 width, u32 gate count, then per gate
-//            {kind u32, q0 u32, q1 u32, param u32, angle-bits u64})
-//   kOrbits  per-entry orbit-signature hashes (u64 each, index order) --
-//            relabeling-equivalence statistics for femto-db info and the
-//            encoding-space miner
+//   kKeys    key blob (offsets relative to section start)
+//   kValues  value blob (offsets relative to section start)
 //
 // Every open failure is a *specific* diagnostic (zero-length file, truncated
 // header/file, bad magic, version mismatch, checksum mismatch, bounds
@@ -42,7 +40,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -51,39 +48,45 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define FEMTO_DB_HAVE_MMAP 1
-#endif
 
+#include "common/bytes.hpp"
 #include "common/failpoint.hpp"
-#include "db/canonical.hpp"
 #include "obs/metrics.hpp"
-#include "synth/synthesis_cache.hpp"
 
 namespace femto::db {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
-inline constexpr std::uint32_t kSynthesisContract = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kCompileContract = 1;
 inline constexpr std::uint32_t kEndianTag = 0x01020304;
 inline constexpr char kMagic[8] = {'F', 'M', 'D', 'B', '0', '1', '\0', '\0'};
 
+/// Id 4 is retired (format v1's relabeling statistics): do not reuse it.
+/// Unknown section ids are ignored on open.
 enum class SectionId : std::uint32_t {
   kIndex = 1,
   kKeys = 2,
   kValues = 3,
-  kOrbits = 4,
 };
+
+/// FNV-1a 64-bit hash (index hashing; full keys are always compared).
+[[nodiscard]] inline std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 namespace detail {
 
@@ -107,85 +110,24 @@ namespace detail {
   return ~crc;
 }
 
-inline void append_u32(std::string& out, std::uint32_t v) {
-  for (int byte = 0; byte < 4; ++byte)
-    out.push_back(static_cast<char>((v >> (8 * byte)) & 0xff));
-}
-
-[[nodiscard]] inline std::uint32_t read_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int byte = 0; byte < 4; ++byte)
-    v |= static_cast<std::uint32_t>(p[byte]) << (8 * byte);
-  return v;
-}
-
-/// Serializes a circuit into the kValues entry format.
-[[nodiscard]] inline std::string encode_circuit(
-    const circuit::QuantumCircuit& c) {
-  std::string out;
-  out.reserve(8 + c.gates().size() * 24);
-  append_u32(out, static_cast<std::uint32_t>(c.num_qubits()));
-  append_u32(out, static_cast<std::uint32_t>(c.gates().size()));
-  for (const circuit::Gate& g : c.gates()) {
-    append_u32(out, static_cast<std::uint32_t>(g.kind));
-    append_u32(out, static_cast<std::uint32_t>(g.q0));
-    append_u32(out, static_cast<std::uint32_t>(g.q1));
-    append_u32(out, static_cast<std::uint32_t>(g.param));
-    db::detail::append_u64(out, std::bit_cast<std::uint64_t>(g.angle));
-  }
-  return out;
-}
-
-/// Inverts encode_circuit; nullopt on malformed bytes (defense in depth --
-/// sections are checksummed, so this only fires on a format bug).
-[[nodiscard]] inline std::optional<circuit::QuantumCircuit> decode_circuit(
-    const unsigned char* p, std::size_t size) {
-  if (size < 8) return std::nullopt;
-  const std::uint32_t n = read_u32(p);
-  const std::uint32_t count = read_u32(p + 4);
-  if (size != 8 + std::size_t{count} * 24) return std::nullopt;
-  circuit::QuantumCircuit c(n);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const unsigned char* g = p + 8 + std::size_t{i} * 24;
-    const std::uint32_t kind = read_u32(g);
-    if (kind > static_cast<std::uint32_t>(circuit::GateKind::kXYrot))
-      return std::nullopt;
-    circuit::Gate gate;
-    gate.kind = static_cast<circuit::GateKind>(kind);
-    gate.q0 = read_u32(g + 4);
-    gate.q1 = read_u32(g + 8);
-    gate.param = static_cast<int>(read_u32(g + 12));
-    gate.angle = std::bit_cast<double>(db::detail::read_u64(g + 16));
-    if (gate.q0 >= n || (gate.two_qubit() && gate.q1 >= n)) return std::nullopt;
-    c.append(gate);
-  }
-  return c;
-}
-
-/// Read-only view of the file bytes: mmap'd when available (shared across
-/// processes, pages faulted on demand), heap-buffered otherwise.
+/// Read-only mmap of the file bytes (shared across processes, pages
+/// faulted on demand).
 struct Mapping {
   const unsigned char* data = nullptr;
   std::size_t size = 0;
-#if FEMTO_DB_HAVE_MMAP
   void* mapped = nullptr;
-#endif
-  std::vector<unsigned char> buffer;  // fallback ownership
 
   Mapping() = default;
   Mapping(const Mapping&) = delete;
   Mapping& operator=(const Mapping&) = delete;
   ~Mapping() {
-#if FEMTO_DB_HAVE_MMAP
     if (mapped != nullptr) ::munmap(mapped, size);
-#endif
   }
 };
 
 [[nodiscard]] inline std::shared_ptr<Mapping> map_file(
     const std::string& path, std::string* error) {
   auto m = std::make_shared<Mapping>();
-#if FEMTO_DB_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     *error = "cannot open '" + path + "': " + std::strerror(errno);
@@ -211,34 +153,6 @@ struct Mapping {
   }
   m->mapped = p;
   m->data = static_cast<const unsigned char*>(p);
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "cannot open '" + path + "'";
-    return nullptr;
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size <= 0) {
-    std::fclose(f);
-    if (size == 0) {
-      *error = "zero-length file (not a femto-db database): '" + path + "'";
-      return nullptr;
-    }
-    *error = "cannot read '" + path + "'";
-    return nullptr;
-  }
-  m->buffer.resize(static_cast<std::size_t>(size));
-  const std::size_t got = std::fread(m->buffer.data(), 1, m->buffer.size(), f);
-  std::fclose(f);
-  if (got != m->buffer.size()) {
-    *error = "short read on '" + path + "'";
-    return nullptr;
-  }
-  m->data = m->buffer.data();
-  m->size = m->buffer.size();
-#endif
   return m;
 }
 
@@ -265,9 +179,8 @@ struct IndexEntry {
 
 /// Read-only, mmap-shared compilation database. Thread-safe: all state is
 /// immutable after open(), so any number of threads (and processes mapping
-/// the same file) may look up concurrently. Implements SynthesisStore, so it
-/// plugs straight into SynthesisCache as the L2 behind the in-memory memo.
-class Database final : public synth::SynthesisStore {
+/// the same file) may look up concurrently.
+class Database {
  public:
   /// Opens and fully validates a database file. Returns nullopt and a
   /// specific diagnostic in *error on any defect; never aborts.
@@ -284,24 +197,9 @@ class Database final : public synth::SynthesisStore {
     return out;
   }
 
-  // -- SynthesisStore -------------------------------------------------------
-
-  [[nodiscard]] std::optional<circuit::QuantumCircuit> load(
-      std::size_t n, const std::vector<synth::RotationBlock>& seq,
-      synth::MergePolicy policy,
-      synth::EntanglerKind native) const override {
-    return lookup(canonical_key(n, seq, policy, native));
-  }
-
-  /// Read-only store: recording is femto-db's job (DatabaseBuilder).
-  void store(std::size_t, const std::vector<synth::RotationBlock>&,
-             synth::MergePolicy, synth::EntanglerKind,
-             const circuit::QuantumCircuit&) override {}
-
-  // -- lookups --------------------------------------------------------------
-
-  /// Binary search by key hash, full-key compare, circuit decode.
-  [[nodiscard]] std::optional<circuit::QuantumCircuit> lookup(
+  /// Binary search by key hash, then a full-key compare. The returned view
+  /// points into the mapping and lives as long as this Database.
+  [[nodiscard]] std::optional<std::string_view> lookup(
       std::string_view key) const {
     static obs::Counter& lookups = obs::registry().counter("db.lookups");
     static obs::Counter& db_hits = obs::registry().counter("db.hits");
@@ -319,9 +217,7 @@ class Database final : public synth::SynthesisStore {
     for (; lo < entries_.size() && entries_[lo].key_hash == hash; ++lo) {
       if (this->key(lo) != key) continue;
       db_hits.inc();
-      return detail::decode_circuit(
-          map_->data + values_.offset + entries_[lo].value_off,
-          entries_[lo].value_len);
+      return value(lo);
     }
     db_misses.inc();
     return std::nullopt;
@@ -336,24 +232,18 @@ class Database final : public synth::SynthesisStore {
             e.key_len};
   }
 
-  [[nodiscard]] std::optional<circuit::QuantumCircuit> circuit_at(
-      std::size_t i) const {
+  [[nodiscard]] std::string_view value(std::size_t i) const {
     const IndexEntry& e = entries_[i];
-    return detail::decode_circuit(map_->data + values_.offset + e.value_off,
-                                  e.value_len);
-  }
-
-  [[nodiscard]] std::uint64_t orbit_hash(std::size_t i) const {
-    if (orbits_.size == 0) return 0;
-    return db::detail::read_u64(map_->data + orbits_.offset + 8 * i);
+    return {reinterpret_cast<const char*>(map_->data + values_.offset +
+                                          e.value_off),
+            e.value_len};
   }
 
   [[nodiscard]] std::uint32_t format_version() const { return format_version_; }
-  [[nodiscard]] std::uint32_t synthesis_contract() const {
-    return synthesis_contract_;
+  [[nodiscard]] std::uint32_t compile_contract() const {
+    return compile_contract_;
   }
   [[nodiscard]] std::size_t file_bytes() const { return map_->size; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   Database() = default;
@@ -371,32 +261,32 @@ class Database final : public synth::SynthesisStore {
       *error = "bad magic: '" + path_ + "' is not a femto-db database";
       return false;
     }
-    format_version_ = detail::read_u32(p + 8);
+    format_version_ = read_le(p + 8, 4);
     if (format_version_ != kFormatVersion) {
       *error = "format version mismatch: '" + path_ + "' is v" +
                std::to_string(format_version_) + ", this reader expects v" +
                std::to_string(kFormatVersion) + " (rebuild with femto-db)";
       return false;
     }
-    synthesis_contract_ = detail::read_u32(p + 12);
-    if (synthesis_contract_ != kSynthesisContract) {
-      *error = "synthesis contract mismatch: '" + path_ +
-               "' holds artifacts of synthesis v" +
-               std::to_string(synthesis_contract_) + ", this build emits v" +
-               std::to_string(kSynthesisContract) +
-               " -- serving them would break bit-identity (rebuild with "
+    compile_contract_ = read_le(p + 12, 4);
+    if (compile_contract_ != kCompileContract) {
+      *error = "compile contract mismatch: '" + path_ +
+               "' holds responses of compile contract v" +
+               std::to_string(compile_contract_) + ", this build serves v" +
+               std::to_string(kCompileContract) +
+               " -- serving them would break byte-identity (rebuild with "
                "femto-db)";
       return false;
     }
-    if (detail::read_u32(p + 16) != kEndianTag) {
+    if (read_le(p + 16, 4) != kEndianTag) {
       *error = "endianness tag mismatch in '" + path_ +
                "' (file written on an incompatible platform)";
       return false;
     }
-    const std::uint32_t section_count = detail::read_u32(p + 20);
-    const std::uint64_t entry_count = db::detail::read_u64(p + 24);
-    const std::uint64_t recorded_size = db::detail::read_u64(p + 32);
-    const std::uint32_t header_crc = detail::read_u32(p + 40);
+    const std::uint32_t section_count = read_le(p + 20, 4);
+    const std::uint64_t entry_count = read_le(p + 24, 8);
+    const std::uint64_t recorded_size = read_le(p + 32, 8);
+    const std::uint32_t header_crc = read_le(p + 40, 4);
     if (section_count > 64) {
       *error = "implausible section count " + std::to_string(section_count) +
                " in '" + path_ + "' (corrupted header)";
@@ -430,11 +320,11 @@ class Database final : public synth::SynthesisStore {
     for (std::uint32_t s = 0; s < section_count; ++s) {
       const unsigned char* d =
           p + detail::kFixedHeaderBytes + s * detail::kSectionDescBytes;
-      const std::uint32_t id = detail::read_u32(d);
+      const std::uint32_t id = read_le(d, 4);
       detail::Section sec;
-      sec.crc = detail::read_u32(d + 4);
-      sec.offset = db::detail::read_u64(d + 8);
-      sec.size = db::detail::read_u64(d + 16);
+      sec.crc = read_le(d + 4, 4);
+      sec.offset = read_le(d + 8, 8);
+      sec.size = read_le(d + 16, 8);
       if (sec.offset > size || sec.size > size - sec.offset) {
         *error = "section " + std::to_string(id) + " of '" + path_ +
                  "' extends past the end of the file (corrupted header)";
@@ -451,7 +341,6 @@ class Database final : public synth::SynthesisStore {
         case SectionId::kIndex: index_ = sec; have_index = true; break;
         case SectionId::kKeys: keys_ = sec; have_keys = true; break;
         case SectionId::kValues: values_ = sec; have_values = true; break;
-        case SectionId::kOrbits: orbits_ = sec; break;
         default: break;  // unknown sections are ignored (forward compat)
       }
     }
@@ -464,22 +353,17 @@ class Database final : public synth::SynthesisStore {
       *error = "index size inconsistent with entry count in '" + path_ + "'";
       return false;
     }
-    if (orbits_.size != 0 && orbits_.size != entry_count * 8) {
-      *error = "orbit section size inconsistent with entry count in '" +
-               path_ + "'";
-      return false;
-    }
     entries_.reserve(static_cast<std::size_t>(entry_count));
     std::uint64_t prev_hash = 0;
     for (std::uint64_t i = 0; i < entry_count; ++i) {
       const unsigned char* d =
           p + index_.offset + i * detail::kIndexEntryBytes;
       IndexEntry e;
-      e.key_hash = db::detail::read_u64(d);
-      e.key_off = db::detail::read_u64(d + 8);
-      e.key_len = detail::read_u32(d + 16);
-      e.value_len = detail::read_u32(d + 20);
-      e.value_off = db::detail::read_u64(d + 24);
+      e.key_hash = read_le(d, 8);
+      e.key_off = read_le(d + 8, 8);
+      e.key_len = read_le(d + 16, 4);
+      e.value_len = read_le(d + 20, 4);
+      e.value_off = read_le(d + 24, 8);
       if (e.key_off > keys_.size || e.key_len > keys_.size - e.key_off ||
           e.value_off > values_.size ||
           e.value_len > values_.size - e.value_off) {
@@ -500,68 +384,36 @@ class Database final : public synth::SynthesisStore {
   std::shared_ptr<detail::Mapping> map_;
   std::string path_;
   std::uint32_t format_version_ = 0;
-  std::uint32_t synthesis_contract_ = 0;
-  detail::Section index_, keys_, values_, orbits_;
+  std::uint32_t compile_contract_ = 0;
+  detail::Section index_, keys_, values_;
   std::vector<IndexEntry> entries_;
 };
 
-/// Accumulates (canonical key -> circuit) pairs -- as a recording
-/// SynthesisStore attached to a SynthesisCache, from an existing database
-/// (append workflow), or via insert_raw -- and writes the versioned,
-/// checksummed file format. Thread-safe for concurrent store() calls.
-class DatabaseBuilder final : public synth::SynthesisStore {
+/// Accumulates (key -> value) entries -- fresh ones via insert(), old ones
+/// from an existing database (append workflow) -- and writes the versioned,
+/// checksummed file format. Not thread-safe: fill it from one thread.
+class DatabaseBuilder {
  public:
-  /// Recording side of SynthesisStore: canonicalizes and keeps the first
-  /// circuit per key (later duplicates are bit-identical by the purity
-  /// contract, so first-wins loses nothing).
-  void store(std::size_t n, const std::vector<synth::RotationBlock>& seq,
-             synth::MergePolicy policy, synth::EntanglerKind native,
-             const circuit::QuantumCircuit& circuit) override {
-    std::string key = canonical_key(n, seq, policy, native);
-    const std::uint64_t orbit = fnv1a(orbit_signature(n, seq, policy, native));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    entries_.emplace(std::move(key),
-                     Value{detail::encode_circuit(circuit), orbit});
-  }
-
-  /// The builder never serves lookups: the in-memory SynthesisCache in front
-  /// of it already memoizes everything recorded this run.
-  [[nodiscard]] std::optional<circuit::QuantumCircuit> load(
-      std::size_t, const std::vector<synth::RotationBlock>&,
-      synth::MergePolicy, synth::EntanglerKind) const override {
-    return std::nullopt;
-  }
-
-  /// Pre-encoded entry (merge/append path). First insert per key wins.
-  void insert_raw(std::string key, std::string value_bytes,
-                  std::uint64_t orbit_hash) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    entries_.emplace(std::move(key),
-                     Value{std::move(value_bytes), orbit_hash});
+  /// First insert per key wins (a later value for the same request is
+  /// byte-identical by the compile contract, so first-wins loses nothing).
+  void insert(std::string key, std::string value) {
+    entries_.emplace(std::move(key), std::move(value));
   }
 
   /// Copies every entry of an open database (append workflow: merge the old
-  /// file, record new compiles, write). Existing keys keep their circuits.
+  /// file, add new entries, write). Existing keys keep their values.
   void merge_from(const Database& db) {
-    for (std::size_t i = 0; i < db.entry_count(); ++i) {
-      const std::optional<circuit::QuantumCircuit> c = db.circuit_at(i);
-      FEMTO_EXPECTS(c.has_value());  // sections were checksum-verified
-      insert_raw(std::string(db.key(i)), detail::encode_circuit(*c),
-                 db.orbit_hash(i));
-    }
+    for (std::size_t i = 0; i < db.entry_count(); ++i)
+      insert(std::string(db.key(i)), std::string(db.value(i)));
   }
 
-  [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Writes the database file; returns "" on success, else a diagnostic.
   [[nodiscard]] std::string write(const std::string& path) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
     // Sorted (hash, key) index; std::map already orders keys, so a stable
     // sort by hash preserves key order inside equal-hash runs.
-    std::vector<const std::pair<const std::string, Value>*> order;
+    std::vector<const std::pair<const std::string, std::string>*> order;
     order.reserve(entries_.size());
     for (const auto& kv : entries_) order.push_back(&kv);
     std::stable_sort(order.begin(), order.end(),
@@ -569,25 +421,23 @@ class DatabaseBuilder final : public synth::SynthesisStore {
                        return fnv1a(a->first) < fnv1a(b->first);
                      });
 
-    std::string index, keys, values, orbits;
+    std::string index, keys, values;
     for (const auto* kv : order) {
       const std::string& key = kv->first;
-      const std::string& value = kv->second.bytes;
-      db::detail::append_u64(index, fnv1a(key));
-      db::detail::append_u64(index, keys.size());
-      detail::append_u32(index, static_cast<std::uint32_t>(key.size()));
-      detail::append_u32(index, static_cast<std::uint32_t>(value.size()));
-      db::detail::append_u64(index, values.size());
+      const std::string& value = kv->second;
+      append_le(index, fnv1a(key), 8);
+      append_le(index, keys.size(), 8);
+      append_le(index, key.size(), 4);
+      append_le(index, value.size(), 4);
+      append_le(index, values.size(), 8);
       keys += key;
       values += value;
-      db::detail::append_u64(orbits, kv->second.orbit_hash);
     }
 
     const std::pair<SectionId, const std::string*> sections[] = {
         {SectionId::kIndex, &index},
         {SectionId::kKeys, &keys},
         {SectionId::kValues, &values},
-        {SectionId::kOrbits, &orbits},
     };
     const std::size_t header_end =
         detail::kFixedHeaderBytes +
@@ -595,25 +445,26 @@ class DatabaseBuilder final : public synth::SynthesisStore {
 
     std::string header;
     header.append(kMagic, sizeof(kMagic));
-    detail::append_u32(header, kFormatVersion);
-    detail::append_u32(header, kSynthesisContract);
-    detail::append_u32(header, kEndianTag);
-    detail::append_u32(header, static_cast<std::uint32_t>(std::size(sections)));
-    db::detail::append_u64(header, entries_.size());
+    append_le(header, kFormatVersion, 4);
+    append_le(header, kCompileContract, 4);
+    append_le(header, kEndianTag, 4);
+    append_le(header, std::size(sections), 4);
+    append_le(header, entries_.size(), 8);
     std::uint64_t file_size = header_end;
     for (const auto& [id, body] : sections) file_size += body->size();
-    db::detail::append_u64(header, file_size);
-    detail::append_u32(header, 0);  // header crc, patched below
-    detail::append_u32(header, 0);  // reserved
+    append_le(header, file_size, 8);
+    append_le(header, 0, 4);  // header crc, patched below
+    append_le(header, 0, 4);  // reserved
     std::uint64_t offset = header_end;
     for (const auto& [id, body] : sections) {
-      detail::append_u32(header, static_cast<std::uint32_t>(id));
-      detail::append_u32(
-          header,
-          detail::crc32(reinterpret_cast<const unsigned char*>(body->data()),
-                        body->size()));
-      db::detail::append_u64(header, offset);
-      db::detail::append_u64(header, body->size());
+      append_le(header, static_cast<std::uint32_t>(id), 4);
+      append_le(header,
+                detail::crc32(
+                    reinterpret_cast<const unsigned char*>(body->data()),
+                    body->size()),
+                4);
+      append_le(header, offset, 8);
+      append_le(header, body->size(), 8);
       offset += body->size();
     }
     const std::uint32_t header_crc = detail::crc32(
@@ -626,11 +477,7 @@ class DatabaseBuilder final : public synth::SynthesisStore {
     // crash, power cut, or injected fault (db.write.short / db.write.kill /
     // db.fsync) at ANY point leaves the previous database byte-identical --
     // readers only ever see the old complete file or the new complete file.
-#if defined(FEMTO_DB_HAVE_MMAP)
     const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-#else
-    const std::string tmp = path + ".tmp";
-#endif
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) return "cannot write '" + tmp + "'";
     // Chunked writes give the kill/short failpoints mid-file granularity
@@ -654,10 +501,8 @@ class DatabaseBuilder final : public synth::SynthesisStore {
     bool ok = put(header);
     for (const auto& [id, body] : sections) ok = ok && put(*body);
     ok = ok && std::fflush(f) == 0;
-#if defined(FEMTO_DB_HAVE_MMAP)
     if (ok && (FEMTO_FAILPOINT("db.fsync") || ::fsync(::fileno(f)) != 0))
       ok = false;
-#endif
     ok = std::fclose(f) == 0 && ok;
     if (!ok) {
       std::remove(tmp.c_str());
@@ -668,7 +513,6 @@ class DatabaseBuilder final : public synth::SynthesisStore {
       std::remove(tmp.c_str());
       return "cannot rename '" + tmp + "' over '" + path + "'";
     }
-#if defined(FEMTO_DB_HAVE_MMAP)
     // Durability of the rename itself: fsync the containing directory.
     const std::size_t slash = path.find_last_of('/');
     const std::string dir =
@@ -678,18 +522,11 @@ class DatabaseBuilder final : public synth::SynthesisStore {
       (void)::fsync(dfd);
       ::close(dfd);
     }
-#endif
     return "";
   }
 
  private:
-  struct Value {
-    std::string bytes;
-    std::uint64_t orbit_hash = 0;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Value> entries_;
+  std::map<std::string, std::string> entries_;
 };
 
 }  // namespace femto::db

@@ -1,17 +1,19 @@
 // Unified process-global metrics registry: counters, gauges, and
 // fixed-bucket latency histograms with p50/p95/p99.
 //
-// This is the one place runtime counters live. The ad-hoc stat structs that
-// predate it (service::ServiceStats, synth::SynthesisCache::Stats) survive
-// as per-instance views for their existing tests, but every increment is
-// mirrored here under a STABLE metric name, and the femtod `metrics` wire
-// op exports this registry -- so dashboards and scripts can rely on the
-// names below never changing meaning:
+// This is the one place runtime counters live. The ad-hoc stat struct that
+// predates it (service::ServiceStats) survives as a per-instance view for
+// its existing tests, but every increment is mirrored here under a STABLE
+// metric name, and the femtod `metrics` wire op exports this registry --
+// so dashboards and scripts can rely on the names below never changing
+// meaning:
 //
 //   counters   cache.l1_hits / cache.misses / cache.l2_hits /
-//              cache.evictions        SynthesisCache memo outcomes
+//              cache.evictions        service plan-store outcomes: a memory
+//                                     hit, an execution, a database-file
+//                                     hit, an eviction
 //              db.lookups / db.hits / db.misses
-//                                     persistent database lookups
+//                                     compilation-database request lookups
 //              pipeline.compiles      CompilePipeline::compile() calls
 //              pipeline.restarts_completed / pipeline.restarts_skipped
 //              pipeline.restart_retries
@@ -37,7 +39,7 @@
 //                                     (batch size per gate/circuit/sweep)
 //   gauges     service.queue_depth    live admission-queue length
 //              service.in_flight      submitted tickets not yet terminal
-//              service.degraded       1 once a pipeline entered degraded
+//              service.degraded       1 once a service entered degraded
 //                                     (database-less) serving
 //              sim.simd_level         active kernel dispatch level
 //                                     (0 portable, 1 AVX2, 2 AVX-512)

@@ -34,17 +34,21 @@
 //               "circuit":null|hex}
 //   restart    {"seed":..,"model_cnots":..,"model_cost":..,
 //               "device_cost":..,"completed":..}
+//   circuit    hex of: u32 width, u32 gate count, then per gate {kind u32,
+//               q0 u32, q1 u32, param u32, angle-bits u64}, little-endian
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "core/pipeline.hpp"
-#include "db/database.hpp"
 #include "service/json.hpp"
 
 namespace femto::service::protocol {
@@ -145,6 +149,51 @@ namespace femto::service::protocol {
     out += static_cast<char>((hi << 4) | lo);
   }
   return out;
+}
+
+// --- circuit payloads --------------------------------------------------------
+
+/// Serializes a circuit into the wire payload bytes (before hex).
+[[nodiscard]] inline std::string encode_circuit(
+    const circuit::QuantumCircuit& c) {
+  std::string out;
+  out.reserve(8 + c.gates().size() * 24);
+  append_le(out, c.num_qubits(), 4);
+  append_le(out, c.gates().size(), 4);
+  for (const circuit::Gate& g : c.gates()) {
+    append_le(out, static_cast<std::uint32_t>(g.kind), 4);
+    append_le(out, static_cast<std::uint32_t>(g.q0), 4);
+    append_le(out, static_cast<std::uint32_t>(g.q1), 4);
+    append_le(out, static_cast<std::uint32_t>(g.param), 4);
+    append_le(out, std::bit_cast<std::uint64_t>(g.angle), 8);
+  }
+  return out;
+}
+
+/// Inverts encode_circuit; nullopt on malformed bytes.
+[[nodiscard]] inline std::optional<circuit::QuantumCircuit> decode_circuit(
+    std::string_view bytes) {
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  if (bytes.size() < 8) return std::nullopt;
+  const auto n = static_cast<std::uint32_t>(read_le(p, 4));
+  const auto count = static_cast<std::uint32_t>(read_le(p + 4, 4));
+  if (bytes.size() != 8 + std::size_t{count} * 24) return std::nullopt;
+  circuit::QuantumCircuit c(n);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const unsigned char* g = p + 8 + std::size_t{i} * 24;
+    const auto kind = static_cast<std::uint32_t>(read_le(g, 4));
+    if (kind > static_cast<std::uint32_t>(circuit::GateKind::kXYrot))
+      return std::nullopt;
+    circuit::Gate gate;
+    gate.kind = static_cast<circuit::GateKind>(kind);
+    gate.q0 = static_cast<std::uint32_t>(read_le(g + 4, 4));
+    gate.q1 = static_cast<std::uint32_t>(read_le(g + 8, 4));
+    gate.param = static_cast<int>(read_le(g + 12, 4));
+    gate.angle = std::bit_cast<double>(read_le(g + 16, 8));
+    if (gate.q0 >= n || (gate.two_qubit() && gate.q1 >= n)) return std::nullopt;
+    c.append(gate);
+  }
+  return c;
 }
 
 // --- decode plumbing ---------------------------------------------------------
@@ -333,8 +382,9 @@ namespace detail {
     if (!detail::get_object(*coupling, "coupling", err)) return false;
     std::size_t n = 0;
     if (!detail::read_size(*coupling, "n", n, err)) return false;
-    if (n == 0)
-      return detail::fail(err, "coupling.n must be a positive integer");
+    if (n == 0 || n > core::kMaxQubits)  // refuse before allocating for n
+      return detail::fail(err, "coupling.n must be in [1, " +
+                                   std::to_string(core::kMaxQubits) + "]");
     const json::Value* edges = coupling->find("edges");
     if (edges == nullptr || !edges->is_array())
       return detail::fail(err, "coupling.edges must be an array");
@@ -488,6 +538,9 @@ namespace detail {
   out = core::CompileScenario{};
   if (!detail::read_string(v, "name", out.name, err)) return false;
   if (!detail::read_size(v, "num_qubits", out.num_qubits, err)) return false;
+  if (out.num_qubits > core::kMaxQubits)
+    return detail::fail(err, "scenario.num_qubits must be at most " +
+                                 std::to_string(core::kMaxQubits));
   const json::Value* terms = v.find("terms");
   if (terms == nullptr || !terms->is_array())
     return detail::fail(err, "scenario.terms must be an array");
@@ -501,6 +554,33 @@ namespace detail {
     if (!decode_options(*options, out.options, err)) return false;
   }
   return true;
+}
+
+/// Reads a scenario file: one canonical scenario per line, blank lines
+/// skipped (what `femto-db export-scenarios` writes). Empty, with a
+/// diagnostic naming the file and line, on any error or no scenario.
+[[nodiscard]] inline std::vector<core::CompileScenario> read_scenario_file(
+    const std::string& path, std::string& err) {
+  std::ifstream in(path);
+  if (!in) {
+    err = "cannot open scenario file " + path;
+    return {};
+  }
+  std::vector<core::CompileScenario> scenarios;
+  std::size_t line_no = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++line_no;
+    if (line.empty()) continue;
+    core::CompileScenario s;
+    const std::optional<json::Value> v = json::parse(line, &err);
+    if (!v.has_value() || !decode_scenario(*v, s, err)) {
+      err = path + ":" + std::to_string(line_no) + ": " + err;
+      return {};
+    }
+    scenarios.push_back(std::move(s));
+  }
+  if (scenarios.empty()) err = path + " has no scenarios";
+  return scenarios;
 }
 
 // --- request -----------------------------------------------------------------
@@ -524,6 +604,28 @@ namespace detail {
   return v;
 }
 
+/// Most routing-table cells (the sum of n^2 over every coupling map) one
+/// decoded request may name: a map of n qubits decodes into 16 n^2 bytes of
+/// tables, so a short line naming many wide maps would otherwise demand
+/// gigabytes before validation. The budget is one kMaxQubits-wide map.
+inline constexpr std::uint64_t kMaxCouplingCells =
+    std::uint64_t{core::kMaxQubits} * core::kMaxQubits;
+
+namespace detail {
+
+/// Routing-table cells (n^2) of the coupling map a wire target names; 0 for
+/// none, a malformed one or one wider than kMaxQubits (decode_target
+/// reports those by name), so sums cannot overflow.
+[[nodiscard]] inline std::uint64_t coupling_cells(const json::Value* target) {
+  const json::Value* coupling =
+      target == nullptr ? nullptr : target->find("coupling");
+  const json::Value* n = coupling == nullptr ? nullptr : coupling->find("n");
+  const std::uint64_t width = n == nullptr ? 0 : n->as_u64().value_or(0);
+  return width > core::kMaxQubits ? 0 : width * width;
+}
+
+}  // namespace detail
+
 [[nodiscard]] inline bool decode_request(const json::Value& v,
                                          core::CompileRequest& out,
                                          std::string& err) {
@@ -532,6 +634,20 @@ namespace detail {
   const json::Value* scenarios = v.find("scenarios");
   if (scenarios == nullptr || !scenarios->is_array())
     return detail::fail(err, "request.scenarios must be an array");
+  std::uint64_t cells = 0;
+  for (const json::Value& s : scenarios->items()) {
+    const json::Value* options = s.find("options");
+    if (options != nullptr)
+      cells += detail::coupling_cells(options->find("target"));
+  }
+  if (const json::Value* targets = v.find("targets"); targets != nullptr)
+    for (const json::Value& t : targets->items())
+      cells += detail::coupling_cells(&t);
+  if (cells > kMaxCouplingCells)
+    return detail::fail(
+        err, "request names coupling maps of " + std::to_string(cells) +
+                 " routing-table cells in total (sum of n^2); the limit is " +
+                 std::to_string(kMaxCouplingCells));
   out.scenarios.reserve(scenarios->items().size());
   for (const json::Value& s : scenarios->items()) {
     core::CompileScenario scenario;
@@ -599,7 +715,7 @@ struct WireOutcome {
   /// nullopt = verification was not requested.
   std::optional<bool> verified;
   std::vector<WireRestart> restarts;
-  /// Hex of db::detail::encode_circuit(final circuit); empty = not shipped.
+  /// Hex of encode_circuit(final circuit); empty = not shipped.
   std::string circuit_hex;
 };
 
@@ -607,6 +723,10 @@ struct WireResponse {
   core::RequestStatus status = core::RequestStatus::kDone;
   std::string detail;
   std::vector<WireOutcome> outcomes;
+
+  [[nodiscard]] bool done() const {
+    return status == core::RequestStatus::kDone;
+  }
 };
 
 [[nodiscard]] inline std::optional<core::RequestStatus> parse_status(
@@ -650,7 +770,7 @@ struct WireResponse {
       const circuit::QuantumCircuit& final_circuit = best.final_circuit();
       if (final_circuit.num_qubits() > 0)
         w.circuit_hex =
-            encode_hex(db::detail::encode_circuit(final_circuit));
+            encode_hex(encode_circuit(final_circuit));
     }
     out.outcomes.push_back(std::move(w));
   }
@@ -694,6 +814,14 @@ struct WireResponse {
   }
   v.set("outcomes", std::move(outcomes));
   return v;
+}
+
+/// The canonical served bytes of a response, circuits included: what the
+/// wire carries, what the service's plan store keeps, and what a
+/// compilation-database entry holds for its request.
+[[nodiscard]] inline std::string canonical_response(
+    const core::CompileResponse& r) {
+  return encode_response(summarize(r, /*include_circuits=*/true)).encode();
 }
 
 [[nodiscard]] inline bool decode_response(const json::Value& v,
@@ -765,8 +893,7 @@ struct WireResponse {
 decode_wire_circuit(std::string_view hex) {
   const std::optional<std::string> bytes = decode_hex(hex);
   if (!bytes.has_value()) return std::nullopt;
-  return db::detail::decode_circuit(
-      reinterpret_cast<const unsigned char*>(bytes->data()), bytes->size());
+  return decode_circuit(*bytes);
 }
 
 }  // namespace femto::service::protocol

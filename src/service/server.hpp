@@ -22,6 +22,13 @@
 //    and receive the same shared response -- N clients asking for the same
 //    Hamiltonian pay for one compile. A coalesced request runs under the
 //    LEADER's deadline.
+//  * Completed requests are REMEMBERED: a compile is a pure function of the
+//    same canonical request bytes, so the PlanStore keeps the canonical
+//    wire response of every DONE run (bounded, least recently used out),
+//    optionally backed by a prebuilt .fdb file (db/database.hpp). A repeat
+//    is answered at submit, before any queueing, with the bytes the first
+//    run served. Cancelled and deadline-cut runs are partial and are never
+//    stored. The compile stack underneath caches nothing.
 //  * Cancellation is cooperative: cancelling a ticket detaches it
 //    immediately (synthesized CANCELLED response); when the LAST waiter of
 //    a running Work cancels, the Work's cancel flag trips and the pipeline
@@ -40,9 +47,12 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
+#include <optional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -55,6 +65,7 @@
 
 #include "common/failpoint.hpp"
 #include "core/pipeline.hpp"
+#include "db/database.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/lifecycle.hpp"
@@ -80,6 +91,13 @@ struct ServiceOptions {
   /// Perfetto). Tracing is enabled iff trace || !trace_dir.empty().
   bool trace = false;
   std::string trace_dir;
+  /// Prebuilt compilation database (.fdb) read behind the plan store;
+  /// empty = none. One that fails to open is loud: SocketServer::start()
+  /// refuses and submits are REJECTED -- never a silently empty database.
+  std::string database_path;
+  /// Instead, serve degraded: log, raise service.degraded, compile every
+  /// miss (byte-identical: the file only holds what the compile produces).
+  bool degrade_on_db_error = false;
 };
 
 struct ServiceStats {
@@ -89,13 +107,62 @@ struct ServiceStats {
   std::uint64_t cancelled = 0;
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t rejected = 0;
-  std::uint64_t works_run = 0;     // pipeline executions (post-coalescing)
+  std::uint64_t works_run = 0;  // pipeline executions (not store hits or
+                                // coalesced submits)
   std::uint64_t plans_served = 0;  // scenario outcomes delivered on DONE
 
   /// Every submitted ticket ends in exactly one terminal state.
   [[nodiscard]] std::uint64_t terminals() const {
     return done + cancelled + deadline_exceeded + rejected;
   }
+};
+
+/// Resident bytes (request keys + encoded responses) the plan store holds
+/// before it evicts the least recently used entry. One perfbench `serve`
+/// pass (120 distinct requests) stores about 0.56 MB.
+inline constexpr std::size_t kPlanStoreBytes = std::size_t{32} << 20;
+
+/// The completed-response store: canonical request bytes -> the canonical
+/// wire response of a DONE run, at most kPlanStoreBytes of them, least
+/// recently used out first. Not thread-safe; the Service lock guards it.
+class PlanStore {
+ public:
+  using Response = std::shared_ptr<const protocol::WireResponse>;
+
+  /// The stored response, now the most recently used; nullptr on a miss.
+  [[nodiscard]] Response find(std::string_view key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->response;
+  }
+
+  /// Stores a response charged `bytes`, then evicts least recently used
+  /// entries until the store fits; returns how many it evicted.
+  std::size_t insert(std::string key, Response response, std::size_t bytes) {
+    if (index_.contains(key)) return 0;  // same request, same bytes
+    lru_.push_front({std::move(key), std::move(response), bytes});
+    index_.emplace(lru_.front().key, lru_.begin());
+    bytes_ += bytes;
+    std::size_t evicted = 0;
+    while (bytes_ > kPlanStoreBytes) {
+      bytes_ -= lru_.back().bytes;
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++evicted;
+    }
+    return evicted;
+  }
+
+ private:
+  struct Entry {
+    std::string key;
+    Response response;
+    std::size_t bytes = 0;
+  };
+  std::size_t bytes_ = 0;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
 };
 
 class Ticket;
@@ -122,8 +189,11 @@ struct Work {
 };
 
 /// A client's handle on one submitted request: its lifecycle state and,
-/// once terminal, the (possibly shared) response. Thread-safe; wait() is
-/// how synchronous clients block. Tickets must not outlive the Service.
+/// once terminal, the (possibly shared) wire response -- the canonical
+/// served form, circuits included. In-process callers that need full
+/// CompileResults call CompilePipeline::compile directly. Thread-safe;
+/// wait() is how synchronous clients block. Tickets must not outlive the
+/// Service.
 class Ticket {
  public:
   [[nodiscard]] std::uint64_t id() const { return id_; }
@@ -141,12 +211,12 @@ class Ticket {
   }
   /// Blocks until terminal; the response stays valid while the Ticket
   /// lives (shared with coalesced siblings).
-  const core::CompileResponse& wait() {
+  const protocol::WireResponse& wait() {
     std::unique_lock<std::mutex> g(mu_);
     cv_.wait(g, [&] { return lifecycle_.terminal(); });
     return *response_;
   }
-  [[nodiscard]] std::shared_ptr<const core::CompileResponse> response()
+  [[nodiscard]] std::shared_ptr<const protocol::WireResponse> response()
       const {
     std::lock_guard<std::mutex> g(mu_);
     return response_;
@@ -157,7 +227,7 @@ class Ticket {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   RequestLifecycle lifecycle_;
-  std::shared_ptr<const core::CompileResponse> response_;
+  std::shared_ptr<const protocol::WireResponse> response_;
   std::shared_ptr<Work> work_;  // cleared at terminal (breaks the cycle)
   std::function<void(Ticket&)> on_terminal_;
   std::uint64_t id_ = 0;
@@ -169,6 +239,7 @@ class Service {
  public:
   explicit Service(ServiceOptions options)
       : options_(std::move(options)), pipeline_(options_.pipeline) {
+    open_database();
     scheduler_ = std::thread([this] { scheduler_loop(); });
   }
 
@@ -188,8 +259,8 @@ class Service {
   /// Submits a request; returns its Ticket immediately. `on_terminal` (may
   /// be empty) fires exactly once, off the service lock, when the ticket
   /// reaches a terminal state -- including synchronously inside submit()
-  /// for rejections. The request's control-plane fields are overwritten by
-  /// the service (cancel flag, absolute deadline).
+  /// for rejections and plan-store hits. The request's control-plane fields
+  /// are overwritten by the service (cancel flag, absolute deadline).
   std::shared_ptr<Ticket> submit(
       core::CompileRequest request,
       std::function<void(Ticket&)> on_terminal = {}) {
@@ -209,28 +280,15 @@ class Service {
       } else if (std::string err = core::validate_request(request);
                  !err.empty()) {
         reject(ticket, "invalid request: " + err, fire);
-      } else if (std::shared_ptr<Work> existing =
-                     find_inflight(protocol::coalesce_key(request));
-                 existing != nullptr) {
-        attach(ticket, existing);
-      } else if (queue_.size() >= options_.max_queue) {
-        reject(ticket,
-               "queue full: " + std::to_string(queue_.size()) + " of " +
-                   std::to_string(options_.max_queue) +
-                   " slots in use; back off and retry",
-               fire);
+      } else if (!db_error_.empty() && !options_.degrade_on_db_error) {
+        reject(ticket, db_error_, fire);
       } else {
-        enqueue(ticket, std::move(request));
+        admit(ticket, std::move(request), fire);
       }
     }
     cv_.notify_one();
     fire_callbacks(fire);
     return ticket;
-  }
-
-  /// Convenience for synchronous callers: submit + wait.
-  core::CompileResponse compile_sync(core::CompileRequest request) {
-    return submit(std::move(request))->wait();
   }
 
   /// Cancels one ticket: it detaches immediately with a synthesized
@@ -242,11 +300,10 @@ class Service {
     {
       std::lock_guard<std::mutex> g(mu_);
       std::shared_ptr<Work> work = ticket->work_;
-      auto response = std::make_shared<const core::CompileResponse>(
-          core::CompileResponse{core::RequestStatus::kCancelled,
-                                "cancelled by client",
-                                {}});
-      if (!terminalize(ticket, RequestState::kCancelled, response, fire))
+      if (!terminalize(ticket, RequestState::kCancelled,
+                       bare(core::RequestStatus::kCancelled,
+                            "cancelled by client"),
+                       fire))
         return;  // already terminal
       if (work == nullptr) return;
       FEMTO_EXPECTS(work->active > 0);
@@ -269,10 +326,8 @@ class Service {
     std::unique_lock<std::mutex> lock(mu_);
     draining_ = true;
     if (cancel_queued) {
-      auto response = std::make_shared<const core::CompileResponse>(
-          core::CompileResponse{core::RequestStatus::kCancelled,
-                                "cancelled: service drain",
-                                {}});
+      const auto response =
+          bare(core::RequestStatus::kCancelled, "cancelled: service drain");
       while (!queue_.empty()) {
         std::shared_ptr<Work> work = queue_.front();
         queue_.pop_front();
@@ -319,13 +374,35 @@ class Service {
     std::lock_guard<std::mutex> g(trace_mu_);
     return last_trace_;
   }
-  /// The shared pipeline (one SynthesisCache + optional database L2 across
-  /// ALL requests -- the warm-cache serving advantage). Do not compile on
-  /// it concurrently with a live service; use submit().
+  /// The pipeline every executed request runs on. Do not compile on it
+  /// concurrently with a live service; use submit().
   [[nodiscard]] core::CompilePipeline& pipeline() { return pipeline_; }
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
+  /// Why options().database_path did not open; empty when it opened or
+  /// none was given.
+  [[nodiscard]] const std::string& db_error() const { return db_error_; }
+  /// True iff the database failed to open and degrade_on_db_error accepted
+  /// serving without it.
+  [[nodiscard]] bool degraded() const {
+    return !db_error_.empty() && options_.degrade_on_db_error;
+  }
 
  private:
+  void open_database() {
+    if (options_.database_path.empty()) return;
+    std::string err;
+    database_ = db::Database::open(options_.database_path, &err);
+    if (database_.has_value()) return;
+    db_error_ = "cannot open compilation database: " + err;
+    if (!options_.degrade_on_db_error) return;
+    obs::registry().gauge("service.degraded").set(1);
+    std::fprintf(stderr,
+                 "femtod: DEGRADED: %s; compiling every request instead "
+                 "(responses stay byte-identical to a service without a "
+                 "database)\n",
+                 db_error_.c_str());
+  }
+
   // --- submit-side helpers (service lock held) -----------------------------
 
   void reject(const std::shared_ptr<Ticket>& ticket, std::string why,
@@ -334,11 +411,79 @@ class Service {
       std::fprintf(stderr, "femtod: REJECTED ticket %llu: %s\n",
                    static_cast<unsigned long long>(ticket->id_),
                    why.c_str());
-    auto response = std::make_shared<const core::CompileResponse>(
-        core::CompileResponse{core::RequestStatus::kRejected,
-                              std::move(why),
-                              {}});
-    (void)terminalize(ticket, RequestState::kRejected, response, fire);
+    (void)terminalize(ticket, RequestState::kRejected,
+                      bare(core::RequestStatus::kRejected, std::move(why)),
+                      fire);
+  }
+
+  /// A response without outcomes: rejections and runs that never started.
+  [[nodiscard]] static PlanStore::Response bare(core::RequestStatus status,
+                                                std::string detail) {
+    return std::make_shared<const protocol::WireResponse>(
+        protocol::WireResponse{status, std::move(detail), {}});
+  }
+
+  /// A valid request is answered from the plan store, joins an identical
+  /// in-flight work, or queues a new one.
+  void admit(const std::shared_ptr<Ticket>& ticket,
+             core::CompileRequest request,
+             std::vector<std::shared_ptr<Ticket>>& fire) {
+    std::string key = protocol::coalesce_key(request);
+    if (PlanStore::Response stored = find_stored(key)) {
+      // Straight to DONE along the ordinary lifecycle edges.
+      {
+        std::lock_guard<std::mutex> g(ticket->mu_);
+        ticket->lifecycle_.advance(RequestState::kAdmitted);
+        ticket->lifecycle_.advance(RequestState::kRunning);
+      }
+      (void)terminalize(ticket, RequestState::kDone, std::move(stored), fire);
+    } else if (std::shared_ptr<Work> existing = find_inflight(key)) {
+      attach(ticket, existing);
+    } else if (queue_.size() >= options_.max_queue) {
+      reject(ticket,
+             "queue full: " + std::to_string(queue_.size()) + " of " +
+                 std::to_string(options_.max_queue) +
+                 " slots in use; back off and retry",
+             fire);
+    } else {
+      enqueue(ticket, std::move(request), std::move(key));
+    }
+  }
+
+  /// The stored response for a request key: memory first, then the
+  /// database file, whose hits are decoded and kept in memory. nullptr =
+  /// the request must run.
+  [[nodiscard]] PlanStore::Response find_stored(const std::string& key) {
+    if (PlanStore::Response hit = store_.find(key)) {
+      metrics_.store_hits.inc();
+      return hit;
+    }
+    if (!database_.has_value()) return nullptr;
+    const std::optional<std::string_view> bytes = database_->lookup(key);
+    if (!bytes.has_value()) return nullptr;
+    auto response = std::make_shared<protocol::WireResponse>();
+    std::string err = "not a DONE response";
+    const std::optional<json::Value> parsed = json::parse(*bytes, &err);
+    if (!parsed.has_value() ||
+        !protocol::decode_response(*parsed, *response, err) ||
+        !response->done()) {
+      // Checksummed bytes that do not decode mean a format bug: compile.
+      std::fprintf(stderr, "femtod: undecodable database entry: %s\n",
+                   err.c_str());
+      return nullptr;
+    }
+    metrics_.store_file_hits.inc();
+    remember(key, response, key.size() + bytes->size());
+    return response;
+  }
+
+  /// Offers a DONE response to the plan store; an armed cache.insert
+  /// failpoint drops it (the next repeat recompiles the same bytes).
+  void remember(std::string key, PlanStore::Response response,
+                std::size_t bytes) {
+    if (FEMTO_FAILPOINT("cache.insert")) return;
+    metrics_.store_evictions.inc(
+        store_.insert(std::move(key), std::move(response), bytes));
   }
 
   [[nodiscard]] std::shared_ptr<Work> find_inflight(const std::string& key) {
@@ -368,7 +513,7 @@ class Service {
   }
 
   void enqueue(const std::shared_ptr<Ticket>& ticket,
-               core::CompileRequest request) {
+               core::CompileRequest request, std::string key) {
     auto work = std::make_shared<Work>();
     const double budget = request.deadline_s > 0.0
                               ? request.deadline_s
@@ -378,7 +523,7 @@ class Service {
           std::chrono::steady_clock::now() +
           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
               std::chrono::duration<double>(budget));
-    work->key = protocol::coalesce_key(request);
+    work->key = std::move(key);
     work->request = std::move(request);
     // Absolute deadline: queue wait counts against the budget. The cancel
     // flag lives in the Work, which outlives the pipeline run.
@@ -422,7 +567,7 @@ class Service {
   /// nest inside it. The callback is deferred into `fire` so it runs off
   /// both locks.
   bool terminalize(const std::shared_ptr<Ticket>& ticket, RequestState to,
-                   std::shared_ptr<const core::CompileResponse> response,
+                   std::shared_ptr<const protocol::WireResponse> response,
                    std::vector<std::shared_ptr<Ticket>>& fire) {
     {
       std::lock_guard<std::mutex> g(ticket->mu_);
@@ -529,12 +674,11 @@ class Service {
             std::chrono::duration<double>(picked - work->submitted_at)
                 .count());
         if (picked > work->deadline) {
-          auto response = std::make_shared<const core::CompileResponse>(
-              core::CompileResponse{
-                  core::RequestStatus::kDeadlineExceeded,
-                  "deadline expired while queued (before any restart ran)",
-                  {}});
-          finish(work, RequestState::kDeadlineExceeded, response, fire);
+          finish(work, RequestState::kDeadlineExceeded,
+                 bare(core::RequestStatus::kDeadlineExceeded,
+                      "deadline expired while queued (before any restart "
+                      "ran)"),
+                 fire);
         } else {
           advance_live_waiters(*work, RequestState::kRunning);
           work->running = true;
@@ -574,6 +718,16 @@ class Service {
             obs::Tracer::set_active(nullptr);
             publish_trace(*work);
           }
+          // The wire form is what every waiter gets and what the store
+          // keeps; build it (and size a DONE one) off the lock.
+          auto response = std::make_shared<const protocol::WireResponse>(
+              protocol::summarize(result, /*include_circuits=*/true));
+          const std::size_t stored_bytes =
+              result.done() ? work->key.size() +
+                                  protocol::encode_response(*response)
+                                      .encode()
+                                      .size()
+                            : 0;
           lock.lock();
           work->running = false;
           // Service admission validated the request, so the pipeline can
@@ -582,10 +736,9 @@ class Service {
                         "validated request rejected by pipeline");
           ++stats_.works_run;
           metrics_.works_run.inc();
-          const RequestState terminal = to_state(result.status);
-          auto response = std::make_shared<const core::CompileResponse>(
-              std::move(result));
-          finish(work, terminal, response, fire);
+          metrics_.store_misses.inc();
+          if (result.done()) remember(work->key, response, stored_bytes);
+          finish(work, to_state(result.status), response, fire);
         }
       }
       // Fire callbacks off the lock, but stay "busy" until they are done
@@ -601,7 +754,7 @@ class Service {
   /// Completes a work: every still-live waiter gets the shared response in
   /// the work's terminal state. (Service lock held.)
   void finish(const std::shared_ptr<Work>& work, RequestState terminal,
-              const std::shared_ptr<const core::CompileResponse>& response,
+              const std::shared_ptr<const protocol::WireResponse>& response,
               std::vector<std::shared_ptr<Ticket>>& fire) {
     erase_inflight(work);
     for (const std::shared_ptr<Ticket>& t : work->waiters)
@@ -636,10 +789,20 @@ class Service {
         obs::registry().histogram("service.request_latency_s");
     obs::Histogram& queue_wait =
         obs::registry().histogram("service.queue_wait_s");
+    // Plan-store outcomes under the stable cache.* names: a memory hit, an
+    // execution, a database-file hit, an eviction.
+    obs::Counter& store_hits = obs::registry().counter("cache.l1_hits");
+    obs::Counter& store_misses = obs::registry().counter("cache.misses");
+    obs::Counter& store_file_hits = obs::registry().counter("cache.l2_hits");
+    obs::Counter& store_evictions =
+        obs::registry().counter("cache.evictions");
   };
 
   ServiceOptions options_;
   core::CompilePipeline pipeline_;
+  PlanStore store_;
+  std::optional<db::Database> database_;
+  std::string db_error_;
   Metrics metrics_;
   mutable std::mutex mu_;
   std::condition_variable cv_;       // wakes the scheduler
@@ -715,8 +878,11 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   /// Binds + listens + starts the accept thread. Empty string on success,
-  /// diagnostic otherwise.
+  /// diagnostic otherwise -- including a database that failed to open
+  /// without degrade_on_db_error.
   [[nodiscard]] std::string start() {
+    if (!service_.db_error().empty() && !service_.degraded())
+      return service_.db_error();
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (options_.socket_path.empty() ||
@@ -946,8 +1112,7 @@ class SocketServer {
                              service_.in_flight())));
       v.set("workers",
             json::Value::number(service_.pipeline().worker_count()));
-      v.set("degraded",
-            json::Value::boolean(service_.pipeline().db_degraded()));
+      v.set("degraded", json::Value::boolean(service_.degraded()));
       write_line(conn, v.encode());
     } else if (op == "failpoints") {
       // Chaos-run control plane: {"op":"failpoints"} lists the registry;
@@ -1072,9 +1237,16 @@ class SocketServer {
             v.set("id", json::Value::string(id));
             v.set("state", json::Value::string(to_string(t.state())));
             v.set("coalesced", json::Value::boolean(t.coalesced()));
-            v.set("response",
-                  protocol::encode_response(protocol::summarize(
-                      *t.response(), include_circuit)));
+            const std::shared_ptr<const protocol::WireResponse> served =
+                t.response();
+            if (include_circuit) {
+              v.set("response", protocol::encode_response(*served));
+            } else {
+              protocol::WireResponse bare = *served;
+              for (protocol::WireOutcome& oc : bare.outcomes)
+                oc.circuit_hex.clear();
+              v.set("response", protocol::encode_response(bare));
+            }
             write_line(conn, v.encode());
           });
       {

@@ -9,9 +9,6 @@
 //    and rejects everything else without partially applying.
 //  * Retry schedule: CompileClient's exponential-backoff-with-jitter delays
 //    are a pure function of (policy, attempt), bounded by max_delay_s.
-//  * Degraded serving: a pipeline whose database fails to open under
-//    degrade_on_db_error compiles BIT-IDENTICAL to a database-free
-//    pipeline, and reports db_degraded().
 //  * pipeline.restart: an injected restart-boundary fault recomputes the
 //    job and the response stays byte-identical (purity).
 #include <gtest/gtest.h>
@@ -255,24 +252,6 @@ std::string canonical(const core::CompileResponse& response) {
              service::protocol::summarize(response,
                                           /*include_circuits=*/true))
       .encode();
-}
-
-TEST_F(FailpointTest, DegradedPipelineServesBitIdenticalToNoDatabase) {
-  const std::string bogus =
-      ::testing::TempDir() + "failpoint_no_such_database.fdb";
-  std::remove(bogus.c_str());
-  core::CompilePipeline degraded({.workers = 2,
-                                  .database_path = bogus,
-                                  .degrade_on_db_error = true});
-  EXPECT_TRUE(degraded.db_degraded());
-  EXPECT_EQ(degraded.database(), nullptr);
-  EXPECT_EQ(obs::registry().gauge("service.degraded").value(), 1);
-
-  core::CompilePipeline plain({.workers = 2});
-  EXPECT_FALSE(plain.db_degraded());
-  const core::CompileRequest request = tiny_request("degraded");
-  EXPECT_EQ(canonical(degraded.compile(request)),
-            canonical(plain.compile(request)));
 }
 
 TEST_F(FailpointTest, RestartFaultRecomputesBitIdentically) {

@@ -1,6 +1,6 @@
 // Tests for the parallel multi-restart compilation pipeline
 // (core/pipeline.hpp) and its substrate: the thread pool, derived seed
-// streams, the common optimizer restart driver, and the synthesis memo.
+// streams, and the common optimizer restart driver.
 //
 // The load-bearing property is determinism: one master seed must yield
 // bit-identical best plans for ANY worker count, which is what makes the CI
@@ -19,7 +19,6 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "opt/restart.hpp"
-#include "synth/synthesis_cache.hpp"
 #include "vqe/uccsd.hpp"
 
 namespace femto {
@@ -171,82 +170,6 @@ TEST(RestartDriver, GtspRestartsNeverWorse) {
   EXPECT_GE(multi, single - 1e-12);
 }
 
-TEST(SynthesisCache, HitIsBitIdenticalToFreshSynthesis) {
-  // Two-block sequence over 4 qubits; second synthesize must hit.
-  std::vector<synth::RotationBlock> seq;
-  synth::RotationBlock a;
-  a.string = pauli::PauliString::from_string("XXYI");
-  a.target = 0;
-  a.angle_coeff = 0.25;
-  a.param = 0;
-  synth::RotationBlock b;
-  b.string = pauli::PauliString::from_string("XYII");
-  b.target = 0;
-  b.angle_coeff = -0.5;
-  b.param = 1;
-  seq.push_back(a);
-  seq.push_back(b);
-
-  synth::SynthesisCache cache;
-  const auto direct = synth::synthesize_sequence(4, seq);
-  const auto first = cache.synthesize(4, seq);
-  const auto second = cache.synthesize(4, seq);
-  EXPECT_EQ(first.to_string(), direct.to_string());
-  EXPECT_EQ(second.to_string(), direct.to_string());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // A different angle must be a different key (no false sharing).
-  seq[1].angle_coeff = 0.75;
-  const auto third = cache.synthesize(4, seq);
-  EXPECT_EQ(third.to_string(), synth::synthesize_sequence(4, seq).to_string());
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(SynthesisCache, ConcurrentHitMissStatsStayConsistent) {
-  // Hammer one shared cache from many threads over a small key set -- the
-  // access pattern of a verification-enabled batch compile. Outputs must be
-  // bit-identical to fresh synthesis, and the stats must add up: every call
-  // is either a hit or a miss, every distinct key at least one miss (racing
-  // first-comers may synthesize a key twice, but never corrupt it).
-  const std::size_t n = 5;
-  Rng rng(61);
-  std::vector<std::vector<synth::RotationBlock>> sequences;
-  for (int s = 0; s < 6; ++s) {
-    std::vector<synth::RotationBlock> seq;
-    for (int k = 0; k < 3; ++k) {
-      synth::RotationBlock b;
-      pauli::PauliString p(n);
-      while (p.weight() < 2)
-        p.set_letter(rng.index(n), static_cast<pauli::Letter>(1 + rng.index(3)));
-      b.string = p;
-      b.target = p.support().lowest_set();
-      b.angle_coeff = rng.uniform(-1, 1);
-      b.param = k;
-      seq.push_back(std::move(b));
-    }
-    sequences.push_back(std::move(seq));
-  }
-  std::vector<std::string> expected;
-  for (const auto& seq : sequences)
-    expected.push_back(synth::synthesize_sequence(n, seq).to_string());
-
-  synth::SynthesisCache cache;
-  constexpr std::size_t kCalls = 600;
-  std::atomic<int> wrong{0};
-  ThreadPool pool(8);
-  pool.parallel_for(kCalls, [&](std::size_t i) {
-    const std::size_t s = i % sequences.size();
-    if (cache.synthesize(n, sequences[s]).to_string() != expected[s])
-      wrong.fetch_add(1);
-  });
-  EXPECT_EQ(wrong.load(), 0);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, kCalls);
-  EXPECT_GE(stats.misses, sequences.size());
-  EXPECT_EQ(cache.size(), sequences.size());
-}
-
 TEST(Pipeline, VerifyOnCertifiesEveryRestartAndScenario) {
   const Fixture& f = lih();
   core::PipelineOptions pipe_options;
@@ -261,8 +184,7 @@ TEST(Pipeline, VerifyOnCertifiesEveryRestartAndScenario) {
   for (const auto& report : multi.verification)
     EXPECT_TRUE(report.equivalent()) << report.to_string();
 
-  // Batch-best: per-scenario verification slices, all certified, shared
-  // synthesis cache in heavy concurrent use.
+  // Batch-best: per-scenario verification slices, all certified.
   core::CompileScenario s;
   s.name = "lih";
   s.num_qubits = f.n;
@@ -275,7 +197,6 @@ TEST(Pipeline, VerifyOnCertifiesEveryRestartAndScenario) {
     EXPECT_TRUE(b.all_verified());
   }
   EXPECT_EQ(pipeline.last_verification().size(), 6u);
-  EXPECT_GT(pipeline.cache().stats().hits, 0u);
 }
 
 TEST(Pipeline, VerifyOnDoesNotChangeResults) {

@@ -7,18 +7,20 @@
 // The load-bearing property mirrors the pipeline's: a seeded request must
 // produce a BYTE-IDENTICAL canonical response whether compiled in-process,
 // through a cold service, coalesced with concurrent identical submissions,
-// or after the shared cache warmed up -- that is what makes femtod a cache
-// you can trust rather than a nondeterministic middleman.
+// or answered from the plan store or a database file -- that is what makes
+// femtod a cache you can trust rather than a nondeterministic middleman.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.hpp"
+#include "db/database.hpp"
 #include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -68,6 +70,15 @@ std::string canonical(const core::CompileResponse& response) {
   return service::protocol::encode_response(
              service::protocol::summarize(response, /*include_circuits=*/true))
       .encode();
+}
+
+/// What a ticket hands out is already the wire form.
+std::string canonical(const service::protocol::WireResponse& response) {
+  return service::protocol::encode_response(response).encode();
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::registry().counter(name).value();
 }
 
 /// Polls a ticket until it reaches `want` (terminal states stick, so a
@@ -339,20 +350,20 @@ TEST(Service, ServedPlanIsByteIdenticalToInProcessCompile) {
 
   service::Service svc(small_service());
   const auto ticket = svc.submit(request);
-  const core::CompileResponse& served = ticket->wait();
+  const service::protocol::WireResponse& served = ticket->wait();
   EXPECT_EQ(ticket->state(), RequestState::kDone);
   EXPECT_FALSE(ticket->coalesced());
   EXPECT_EQ(canonical(served), expected);
 
-  // Same request again: the service cache is warm now (synthesis memo
-  // hits), and the answer must still be the same bytes.
+  // Same request again: answered from the plan store without running, and
+  // the answer must still be the same bytes.
   const auto warm = svc.submit(request);
   EXPECT_EQ(canonical(warm->wait()), expected);
 
   const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.done, 2u);
-  EXPECT_EQ(stats.works_run, 2u);
+  EXPECT_EQ(stats.works_run, 1u);
   EXPECT_EQ(stats.terminals(), stats.submitted);
 }
 
@@ -428,7 +439,7 @@ TEST(Service, DeadlineExceededMidRequest) {
   core::CompileRequest request = tiny_request("deadline-mid", 2000);
   request.deadline_s = 0.15;
   const auto ticket = svc.submit(request);
-  const core::CompileResponse& response = ticket->wait();
+  const service::protocol::WireResponse& response = ticket->wait();
   EXPECT_EQ(ticket->state(), RequestState::kDeadlineExceeded);
   EXPECT_EQ(response.status, core::RequestStatus::kDeadlineExceeded);
   EXPECT_NE(response.detail.find("restart job"), std::string::npos)
@@ -449,7 +460,7 @@ TEST(Service, DeadlineExpiredWhileQueued) {
   const auto ticket = svc.submit(request);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   svc.cancel(blocker);
-  const core::CompileResponse& response = ticket->wait();
+  const service::protocol::WireResponse& response = ticket->wait();
   EXPECT_EQ(ticket->state(), RequestState::kDeadlineExceeded);
   EXPECT_NE(response.detail.find("queued"), std::string::npos)
       << response.detail;
@@ -500,16 +511,26 @@ TEST(Service, CoalescingHammerServesOneExecutionToEveryone) {
 
   int coalesced_count = 0;
   for (const auto& t : tickets) {
-    const core::CompileResponse& response = t->wait();
+    const service::protocol::WireResponse& response = t->wait();
     EXPECT_EQ(t->state(), RequestState::kDone);
     EXPECT_EQ(canonical(response), expected)
         << "every coalesced client must receive bit-identical plans";
     if (t->coalesced()) ++coalesced_count;
   }
   EXPECT_EQ(coalesced_count, kClients - 1);
+  EXPECT_EQ(svc.stats().coalesced, static_cast<std::uint64_t>(kClients - 1));
+
+  // Every later repeat is a plan-store hit: DONE inside submit.
+  const std::uint64_t hits_before = counter("cache.l1_hits");
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const auto t = svc.submit(request);
+    EXPECT_EQ(t->state(), RequestState::kDone);
+    EXPECT_FALSE(t->coalesced());
+    EXPECT_EQ(canonical(t->wait()), expected);
+  }
+  EXPECT_EQ(counter("cache.l1_hits") - hits_before, 3u);
   const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.coalesced, static_cast<std::uint64_t>(kClients - 1));
-  // blocker + ONE hammer execution, not six.
+  // blocker + ONE hammer execution, not six (or nine).
   EXPECT_EQ(stats.works_run, 2u);
   EXPECT_EQ(stats.terminals(), stats.submitted);
 }
@@ -525,6 +546,162 @@ TEST(Service, DifferentSeedsDoNotCoalesce) {
   EXPECT_TRUE(a->wait().done());
   EXPECT_TRUE(b->wait().done());
   EXPECT_EQ(svc.stats().coalesced, 0u);
+}
+
+// --- plan store --------------------------------------------------------------
+
+TEST(ServiceStore, RepeatAfterDoneServesSameBytesWithoutRunning) {
+  core::CompileRequest request = tiny_request("store-repeat", 2);
+  request.verify = true;
+  core::CompilePipeline reference({.workers = 2});
+  const std::string expected = canonical(reference.compile(request));
+
+  service::Service svc(small_service());
+  EXPECT_EQ(canonical(svc.submit(request)->wait()), expected);
+  const std::uint64_t hits_before = counter("cache.l1_hits");
+  // The deadline is not part of the request's identity: even one that has
+  // already expired gets the stored answer.
+  for (const double deadline_s : {0.0, 1e-9, 60.0}) {
+    core::CompileRequest repeat = request;
+    repeat.deadline_s = deadline_s;
+    const auto ticket = svc.submit(repeat);
+    EXPECT_EQ(ticket->state(), RequestState::kDone) << "answered in submit";
+    EXPECT_EQ(canonical(ticket->wait()), expected);
+  }
+  EXPECT_EQ(counter("cache.l1_hits") - hits_before, 3u);
+  EXPECT_EQ(svc.stats().works_run, 1u);
+  EXPECT_EQ(svc.stats().done, 4u);
+}
+
+TEST(ServiceStore, CancelledAndDeadlineCutRunsAreNotStored) {
+  service::Service svc(small_service());
+  // A deadline-cut run is partial: its repeat runs (and is cut) again.
+  core::CompileRequest cut = tiny_request("store-cut", 5000);
+  cut.deadline_s = 0.05;
+  for (int round = 0; round < 2; ++round) {
+    const auto ticket = svc.submit(cut);
+    EXPECT_EQ(ticket->wait().status, core::RequestStatus::kDeadlineExceeded);
+  }
+  EXPECT_EQ(svc.stats().works_run, 2u);
+
+  // So is a cancelled one: its repeat is admitted and runs again.
+  const core::CompileRequest long_request = tiny_request("store-cancel", 5000);
+  for (int round = 0; round < 2; ++round) {
+    const auto ticket = svc.submit(long_request);
+    ASSERT_TRUE(wait_for_state(ticket, RequestState::kRunning));
+    svc.cancel(ticket);
+  }
+  svc.drain(/*cancel_queued=*/false);
+  EXPECT_EQ(svc.stats().works_run, 4u);
+  EXPECT_EQ(svc.stats().done, 0u);
+}
+
+TEST(ServiceStore, EvictsLeastRecentlyUsedPastTheByteCap) {
+  // A megabyte-long scenario name makes each entry cost ~2 MiB (the name
+  // is in the request key and in the response), so a handful of tiny
+  // compiles fill kPlanStoreBytes.
+  const auto big_request = [](int i) {
+    return tiny_request(std::to_string(i) + std::string(1 << 20, 'x'));
+  };
+  service::Service svc(small_service());
+  const std::uint64_t evictions_before = counter("cache.evictions");
+  const std::string a = canonical(svc.submit(big_request(0))->wait());
+  const std::string b = canonical(svc.submit(big_request(1))->wait());
+  // Keep A the most recently used while new entries push the store past
+  // its cap, so the first victim must be B (LRU), not A (oldest insert).
+  int next = 2;
+  while (counter("cache.evictions") == evictions_before && next < 64) {
+    ASSERT_EQ(svc.submit(big_request(0))->state(), RequestState::kDone);
+    (void)svc.submit(big_request(next++))->wait();
+  }
+  ASSERT_EQ(counter("cache.evictions") - evictions_before, 1u)
+      << "the store never filled";
+  EXPECT_GT(next, 3) << "the cap should hold more than two entries";
+  const std::uint64_t runs = svc.stats().works_run;
+  const auto hit = svc.submit(big_request(0));
+  EXPECT_EQ(hit->state(), RequestState::kDone);
+  EXPECT_EQ(canonical(hit->wait()), a);
+  EXPECT_EQ(svc.stats().works_run, runs);
+  // The evicted entry's repeat recompiles to the same bytes.
+  EXPECT_EQ(canonical(svc.submit(big_request(1))->wait()), b);
+  EXPECT_EQ(svc.stats().works_run, runs + 1);
+}
+
+TEST(ServiceStore, DroppedInsertsRecompileToTheSameBytes) {
+  const core::CompileRequest request = tiny_request("store-lossy", 2);
+  core::CompilePipeline reference({.workers = 2});
+  const std::string expected = canonical(reference.compile(request));
+  struct Disarm {
+    ~Disarm() { fail::registry().disarm_all(); }
+  } disarm;
+  ASSERT_EQ(fail::registry().arm("cache.insert:1:3"), "");
+  service::Service svc(small_service());
+  for (int round = 0; round < 3; ++round)
+    EXPECT_EQ(canonical(svc.submit(request)->wait()), expected);
+  EXPECT_EQ(svc.stats().works_run, 3u) << "every repeat must execute";
+}
+
+TEST(ServiceStore, DatabaseFileServesStoredResponses) {
+  core::CompileRequest request = tiny_request("store-file", 2);
+  request.verify = true;
+  core::CompilePipeline reference({.workers = 2});
+  const std::string expected = canonical(reference.compile(request));
+  db::DatabaseBuilder builder;
+  builder.insert(service::protocol::coalesce_key(request), expected);
+  const std::string path = ::testing::TempDir() + "service_store.fdb";
+  ASSERT_EQ(builder.write(path), "");
+
+  service::ServiceOptions options = small_service();
+  options.database_path = path;
+  service::Service svc(options);
+  EXPECT_TRUE(svc.db_error().empty()) << svc.db_error();
+  const std::uint64_t file_hits = counter("cache.l2_hits");
+  const std::uint64_t memory_hits = counter("cache.l1_hits");
+  for (int round = 0; round < 2; ++round) {
+    const auto ticket = svc.submit(request);
+    EXPECT_EQ(ticket->state(), RequestState::kDone);
+    EXPECT_EQ(canonical(ticket->wait()), expected);
+  }
+  // The file answers first; the decoded answer is then kept in memory.
+  EXPECT_EQ(counter("cache.l2_hits") - file_hits, 1u);
+  EXPECT_EQ(counter("cache.l1_hits") - memory_hits, 1u);
+  EXPECT_EQ(svc.stats().works_run, 0u);
+  // A request the file does not hold still compiles.
+  EXPECT_TRUE(svc.submit(tiny_request("store-file-miss"))->wait().done());
+  EXPECT_EQ(svc.stats().works_run, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(Service, DegradedDatabaseServesByteIdenticalToNoDatabase) {
+  const std::string bogus =
+      ::testing::TempDir() + "service_no_such_database.fdb";
+  std::remove(bogus.c_str());
+  const core::CompileRequest request = tiny_request("degraded", 2);
+  core::CompilePipeline reference({.workers = 2});
+  const std::string expected = canonical(reference.compile(request));
+
+  service::ServiceOptions options = small_service();
+  options.database_path = bogus;
+  options.degrade_on_db_error = true;
+  {
+    service::Service degraded(options);
+    EXPECT_TRUE(degraded.degraded());
+    EXPECT_NE(degraded.db_error().find("cannot open compilation database"),
+              std::string::npos)
+        << degraded.db_error();
+    EXPECT_EQ(obs::registry().gauge("service.degraded").value(), 1);
+    EXPECT_EQ(canonical(degraded.submit(request)->wait()), expected);
+  }
+  // Without the opt-in the same file is a loud refusal, never a silently
+  // empty database.
+  options.degrade_on_db_error = false;
+  service::Service strict(options);
+  EXPECT_FALSE(strict.degraded());
+  const auto ticket = strict.submit(request);
+  EXPECT_EQ(ticket->state(), RequestState::kRejected);
+  EXPECT_NE(ticket->wait().detail.find("cannot open compilation database"),
+            std::string::npos);
+  EXPECT_EQ(strict.stats().works_run, 0u);
 }
 
 // --- socket loopback --------------------------------------------------------
@@ -792,6 +969,139 @@ TEST(ServiceSocket, MalformedFailpointSpecIsRejectedOverTheWire) {
   EXPECT_NE(err.find("outside [0, 1]"), std::string::npos) << err;
   EXPECT_FALSE(client.failpoints("", "never.armed.name", err).has_value());
   EXPECT_NE(err.find("no armed failpoint"), std::string::npos) << err;
+}
+
+/// This process's peak resident set (VmHWM) in kB; -1 where /proc is
+/// unavailable.
+long peak_rss_kb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  long kb = -1;
+  char line[256];
+  while (std::fgets(line, sizeof line, f) != nullptr)
+    if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
+  std::fclose(f);
+  return kb;
+}
+
+/// A compile line for one scenario of `n` qubits on `targets` copies of an
+/// n-qubit chain target.
+std::string chain_line(const std::string& id, std::size_t n,
+                       std::size_t targets, std::size_t restarts) {
+  std::string edges;
+  for (std::size_t q = 0; q + 1 < n; ++q)
+    edges += (q == 0 ? "[" : ",[") + std::to_string(q) + "," +
+             std::to_string(q + 1) + "]";
+  const std::string chain = R"({"name":"chain","coupling":{"n":)" +
+                            std::to_string(n) + R"(,"edges":[)" + edges +
+                            "]}}";
+  std::string list;
+  for (std::size_t t = 0; t < targets; ++t) list += (t ? "," : "") + chain;
+  return R"({"op":"compile","id":")" + id +
+         R"(","request":{"scenarios":[{"name":"w","num_qubits":)" +
+         std::to_string(n) + R"(,"terms":[["s",1,0,0.1]]}],"targets":[)" +
+         list + R"(],"restarts":)" + std::to_string(restarts) + "}}";
+}
+
+TEST(ServiceSocket, HostileRequestLinesFailLoudlyAndTheDaemonServesOn) {
+  const std::string socket_path =
+      "/tmp/femtod-hostile-" + std::to_string(::getpid()) + ".sock";
+  service::SocketServer server(
+      {.socket_path = socket_path, .service = small_service()});
+  ASSERT_EQ(server.start(), "");
+  std::thread runner([&] { server.run(); });
+  struct Joiner {
+    service::SocketServer& server;
+    std::thread& thread;
+    ~Joiner() {
+      server.request_shutdown(false);
+      if (thread.joinable()) thread.join();
+    }
+  } joiner{server, runner};
+
+  auto conn = service::wait_for_server(socket_path);
+  ASSERT_TRUE(conn.has_value());
+  service::CompileClient client(std::move(*conn));
+  // Reads every reply to one compile line: a decode error is one line; a
+  // decoded request gets an ack and a result, in either order. Returns
+  // "error" or the result's state.
+  const auto outcome = [&]() -> std::string {
+    bool acked = false;
+    std::string state;
+    while (!acked || state.empty()) {
+      const auto line = client.connection().recv_line(120000);
+      if (!line.has_value()) return "no reply: daemon went away";
+      const auto reply = service::json::parse(*line);
+      if (!reply.has_value()) return "unparsable reply: " + *line;
+      const service::json::Value* ok = reply->find("ok");
+      if (ok != nullptr && ok->is_bool() && !ok->as_bool()) return "error";
+      const service::json::Value* op = reply->find("op");
+      const service::json::Value* st = reply->find("state");
+      if (op != nullptr && op->is_string() && op->as_string() == "result")
+        state = st != nullptr && st->is_string() ? st->as_string() : "?";
+      else
+        acked = true;
+    }
+    return state;
+  };
+
+  // Each of these once took the whole daemon down (abort, length_error,
+  // bad_alloc during the compile or while decoding the target).
+  const std::string scenario =
+      R"({"name":"h","num_qubits":4,"terms":[["s",2,0,0.1]]})";
+  const std::string lines[] = {
+      R"({"op":"compile","id":"index","request":{"scenarios":[)"
+      R"({"name":"h","num_qubits":4,"terms":[["s",0,9,0.1]]}]}})",
+      R"({"op":"compile","id":"restarts","request":{"scenarios":[)" +
+          scenario + R"(],"restarts":1152921504606846976}})",
+      R"({"op":"compile","id":"qubits","request":{"scenarios":[)"
+      R"({"name":"h","num_qubits":1099511627776,"terms":[]}]}})",
+      R"({"op":"compile","id":"coupling","request":{"scenarios":[)" +
+          scenario +
+          R"(],"targets":[{"name":"t","coupling":{"n":1099511627776,)"
+          R"("edges":[]}}]}})",
+      // Each map is within kMaxQubits, but two of them exceed the
+      // request's routing-table budget (16 n^2 bytes per decoded map).
+      chain_line("two-wide-maps", core::kMaxQubits, 2, 1),
+  };
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(client.connection().send_line(line));
+    const std::string got = outcome();
+    EXPECT_TRUE(got == "error" || got == "REJECTED")
+        << got << " for: " << line.substr(0, 200);
+  }
+
+  // A widest chain target fanned out over many restarts: every restart job
+  // once copied the target's 16 MiB of routing tables before any ran (a
+  // gigabyte here). Jobs now share them, so the peak barely moves.
+  const long rss_before = peak_rss_kb();
+  ASSERT_TRUE(client.connection().send_line(
+      chain_line("wide", core::kMaxQubits, 1, 64)));
+  EXPECT_EQ(outcome(), "DONE");
+  if (rss_before > 0) {
+    EXPECT_LT(peak_rss_kb() - rss_before, 512L * 1024)
+        << "peak RSS grew by more than 512 MiB for one request";
+  }
+
+  // The same daemon still serves a valid request, byte-identically.
+  const core::CompileRequest request = tiny_request("after-hostile", 2);
+  core::CompilePipeline reference({.workers = 2});
+  const std::string expected = canonical(reference.compile(request));
+  std::string err;
+  const auto served = client.compile(request, "valid", err,
+                                     /*include_circuit=*/true);
+  ASSERT_TRUE(served.has_value()) << err;
+  EXPECT_EQ(served->canonical_response, expected);
+
+  // In process, compile() refuses the first three instead of dying.
+  core::CompileRequest index = tiny_request("index");
+  index.scenarios[0].terms.push_back(fermion::ExcitationTerm::single(0, 9));
+  core::CompileRequest restarts = tiny_request("restarts");
+  restarts.restarts = std::size_t{1} << 60;
+  core::CompileRequest qubits = tiny_request("qubits");
+  qubits.scenarios[0].num_qubits = std::size_t{1} << 40;
+  for (const core::CompileRequest& bad : {index, restarts, qubits})
+    EXPECT_EQ(reference.compile(bad).status, core::RequestStatus::kRejected);
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //
 // One run walks the whole resilience story of README "Resilience":
 //
-//   1. Builds a small compilation database (.fdb) and compiles the same
-//      seeded requests in-process for the byte-identity reference.
+//   1. Compiles the seeded requests in-process for the byte-identity
+//      reference and stores them as a small compilation database (.fdb).
 //   2. Torn write: a forked child arms db.write.kill and dies (exit 137)
 //      mid-rewrite of that database; the parent requires the on-disk bytes
 //      unchanged and the database still loadable (crash-safe persistence).
@@ -19,8 +19,8 @@
 //      fleet to finish with every response byte-identical to the
 //      in-process reference.
 //   5. Degradation: a corrupt database must fail boot (exit 2) without
-//      --degrade-on-db-error, and with the flag must serve bit-identical
-//      to the no-database pipeline while `stats` reports degraded:true.
+//      --degrade-on-db-error, and with the flag must compile byte-identical
+//      to the in-process reference while `stats` reports degraded:true.
 //
 // The ctest runs with no environment; CI's chaos leg additionally exports
 // FEMTO_FAILPOINTS so the daemon boots with faults already armed (the
@@ -92,12 +92,6 @@ std::vector<core::CompileScenario> chaos_scenarios() {
   return out;
 }
 
-std::string canonical(const core::CompileResponse& response) {
-  return service::protocol::encode_response(
-             service::protocol::summarize(response, /*include_circuit=*/true))
-      .encode();
-}
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -148,16 +142,16 @@ int main(int argc, char** argv) {
   {
     db::DatabaseBuilder builder;
     // Scoped so the worker threads are joined before the fork below.
-    core::CompilePipeline recorder({.workers = 2});
-    recorder.set_store(&builder);
+    core::CompilePipeline pipeline({.workers = 2});
     for (const core::CompileRequest& r : requests) {
-      const core::CompileResponse response = recorder.compile(r);
+      const core::CompileResponse response = pipeline.compile(r);
       if (!response.done()) {
         std::fprintf(stderr, "chaos: reference compile failed: %s\n",
                      response.detail.c_str());
         return 2;
       }
-      reference.push_back(canonical(response));
+      reference.push_back(service::protocol::canonical_response(response));
+      builder.insert(service::protocol::coalesce_key(r), reference.back());
     }
     if (const std::string err = builder.write(db_path); !err.empty()) {
       std::fprintf(stderr, "chaos: db build failed: %s\n", err.c_str());
@@ -333,7 +327,8 @@ int main(int argc, char** argv) {
       clean = service::wait_process(degraded) == 0 && clean;
     }
     check(served_identical,
-          "degraded daemon serves bit-identical to the no-database pipeline");
+          "degraded daemon compiles byte-identical to the in-process "
+          "reference");
     check(stats_degraded, "degraded daemon reports degraded:true in stats");
     check(clean, "degraded daemon drained cleanly");
   }

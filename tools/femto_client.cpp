@@ -14,8 +14,11 @@
 //   femto-client --socket <path> shutdown [--cancel]
 //   femto-client --socket <path> compile <scenarios.jsonl>
 //       Submits every canonical protocol scenario in the file (one per
-//       line, as written by `femto-db export-scenarios`) as ONE request
-//       and prints the per-scenario plan summary.
+//       line, as written by `femto-db export-scenarios`) as its own
+//       one-scenario request -- one restart, verify on: the request
+//       `femto-db build --scenarios` stores, so a femtod whose --db was
+//       built from the same file answers every one from the file -- and
+//       prints each plan summary. Exit 1 unless every request is DONE.
 //
 //   femto-client --smoke <path-to-femtod>
 //       Boots a fresh femtod (with tracing on) on a private socket, pings
@@ -32,7 +35,6 @@
 // Exit codes: 0 ok, 1 contract/request failure, 2 usage/transport error.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -128,9 +130,7 @@ int cmd_smoke(const std::string& femtod_path) {
   core::CompilePipeline pipeline({.workers = 2});
   const core::CompileResponse local = pipeline.compile(request);
   const std::string local_canonical =
-      service::protocol::encode_response(
-          service::protocol::summarize(local, /*include_circuits=*/true))
-          .encode();
+      service::protocol::canonical_response(local);
 
   int rc = 0;
   if (served->state != service::RequestState::kDone) {
@@ -273,43 +273,34 @@ int cmd_trace(service::CompileClient& client) {
 }
 
 int cmd_compile(service::CompileClient& client, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "femto-client: cannot open %s\n", path.c_str());
-    return 2;
-  }
-  core::CompileRequest request;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::string err;
-    const auto v = service::json::parse(line, &err);
-    core::CompileScenario s;
-    if (!v.has_value() || !service::protocol::decode_scenario(*v, s, err)) {
-      std::fprintf(stderr, "femto-client: %s:%zu: %s\n", path.c_str(),
-                   line_no, err.c_str());
-      return 2;
-    }
-    request.scenarios.push_back(std::move(s));
-  }
-  if (request.scenarios.empty()) {
-    std::fprintf(stderr, "femto-client: %s has no scenarios\n", path.c_str());
-    return 2;
-  }
   std::string err;
-  const auto served = client.compile(request, "cli-1", err);
-  if (!served.has_value()) {
+  std::vector<core::CompileScenario> scenarios =
+      service::protocol::read_scenario_file(path, err);
+  if (scenarios.empty()) {
     std::fprintf(stderr, "femto-client: %s\n", err.c_str());
-    return 1;
+    return 2;
   }
-  std::printf("state %s%s\n", to_string(served->state),
-              served->coalesced ? " (coalesced)" : "");
-  for (const auto& o : served->response.outcomes)
-    std::printf("  %-16s model CNOTs %-5d device cost %d\n",
-                o.scenario.c_str(), o.model_cnots, o.device_cost);
-  return served->state == service::RequestState::kDone ? 0 : 1;
+  int rc = 0;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const std::string name = scenarios[i].name;
+    const core::CompileRequest request{
+        .scenarios = {std::move(scenarios[i])}, .restarts = 1, .verify = true};
+    const auto served =
+        client.compile(request, "cli-" + std::to_string(i + 1), err);
+    if (!served.has_value()) {
+      std::fprintf(stderr, "femto-client: %s: %s\n", name.c_str(),
+                   err.c_str());
+      return 1;
+    }
+    if (served->state != service::RequestState::kDone) rc = 1;
+    std::printf("%-16s %s%s\n", name.c_str(), to_string(served->state),
+                served->coalesced ? " (coalesced)" : "");
+    for (const auto& o : served->response.outcomes)
+      std::printf("  model CNOTs %-5d device cost %-5d verified %s\n",
+                  o.model_cnots, o.device_cost,
+                  o.verified.value_or(false) ? "yes" : "no");
+  }
+  return rc;
 }
 
 }  // namespace

@@ -1,21 +1,27 @@
-// femto-db: build, append, inspect, and verify persistent compilation
-// databases (src/db/database.hpp).
+// femto-db: build, append, inspect, and verify compilation databases
+// (src/db/database.hpp): canonical request bytes -> the canonical response
+// a DONE compile of that request serves. `femtod --db` answers any
+// byte-identical request from the file instead of compiling it.
 //
 //   femto-db build <out.fdb> [--suite small|table1] [--append <old.fdb>]
-//                  [--workers N] [--restarts N]
-//       Compiles the suite with a recording DatabaseBuilder attached to the
-//       pipeline's synthesis cache and writes every synthesized segment,
-//       keyed canonically. --append first merges an existing database, so
-//       the rebuild workflow is: build --append old.fdb new.fdb && mv.
+//                  [--scenarios <file.jsonl>] [--workers N] [--restarts N]
+//       Compiles every suite (or --scenarios) entry as a one-scenario
+//       request with --restarts restarts and verify: true, and stores
+//       (request -> response) for each. `femto-client compile <file>` sends
+//       each line of a scenario file as that same request (one restart),
+//       so with the default --restarts, build --scenarios <file> answers
+//       every request of that client run from the file. --append first
+//       merges an existing database, so the rebuild workflow is: build
+//       --append old.fdb new.fdb && mv.
 //
 //   femto-db info <db.fdb>
-//       Header fields, entry count, byte sizes, and Gamma-orbit statistics
-//       (how many entries are relabelings of one another).
+//       Header fields, entry count, and byte sizes.
 //
 //   femto-db verify <db.fdb>
-//       Re-synthesizes EVERY entry from its decoded canonical key and
-//       compares gate-for-gate with the stored circuit -- the database's
-//       bit-identity contract, checked exhaustively. Exit 1 on any mismatch.
+//       Decodes EVERY key as a protocol request, recompiles it, and
+//       byte-compares the fresh canonical response with the stored one --
+//       the database's byte-identity contract, checked exhaustively. Exit 1
+//       on any mismatch.
 //
 //   femto-db export-scenarios <suite> <out.jsonl>
 //       Writes a suite as canonical protocol scenario JSON, one per line --
@@ -27,8 +33,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,34 +54,6 @@ int usage() {
                "       femto-db verify <db.fdb>\n"
                "       femto-db export-scenarios <suite> <out.jsonl>\n");
   return 2;
-}
-
-/// Reads one canonical protocol scenario per line (the femtod wire
-/// encoding, produced by export-scenarios or any protocol client).
-std::vector<core::CompileScenario> load_scenarios(const std::string& path,
-                                                  std::string& err) {
-  std::ifstream in(path);
-  if (!in) {
-    err = "cannot open scenario file: " + path;
-    return {};
-  }
-  std::vector<core::CompileScenario> scenarios;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::string parse_err;
-    const auto v = service::json::parse(line, &parse_err);
-    core::CompileScenario s;
-    if (!v.has_value() ||
-        !service::protocol::decode_scenario(*v, s, parse_err)) {
-      err = path + ":" + std::to_string(line_no) + ": " + parse_err;
-      return {};
-    }
-    scenarios.push_back(std::move(s));
-  }
-  return scenarios;
 }
 
 int cmd_build(int argc, char** argv) {
@@ -132,10 +108,9 @@ int cmd_build(int argc, char** argv) {
   std::vector<core::CompileScenario> scenarios;
   if (!scenario_path.empty()) {
     std::string err;
-    scenarios = load_scenarios(scenario_path, err);
+    scenarios = service::protocol::read_scenario_file(scenario_path, err);
     if (scenarios.empty()) {
-      std::fprintf(stderr, "femto-db: %s\n",
-                   err.empty() ? "scenario file is empty" : err.c_str());
+      std::fprintf(stderr, "femto-db: %s\n", err.c_str());
       return 2;
     }
   } else {
@@ -145,32 +120,27 @@ int cmd_build(int argc, char** argv) {
       return usage();
     }
   }
-  core::PipelineOptions popt;
-  popt.workers = workers;
-  popt.restarts = restarts;
-  core::CompilePipeline pipeline(popt);
-  pipeline.set_store(&builder);
-  const auto results = restarts > 1
-                           ? [&] {
-                               std::vector<core::CompileResult> out;
-                               for (auto& m : pipeline.compile_batch_best(scenarios))
-                                 out.push_back(std::move(m.best));
-                               return out;
-                             }()
-                           : pipeline.compile_batch(scenarios);
-  for (std::size_t i = 0; i < scenarios.size(); ++i)
-    std::printf("  %-12s model CNOTs %d\n", scenarios[i].name.c_str(),
-                results[i].model_cnots);
+  core::CompilePipeline pipeline({.workers = workers});
+  for (const core::CompileScenario& s : scenarios) {
+    const core::CompileRequest request{
+        .scenarios = {s}, .restarts = restarts, .verify = true};
+    const core::CompileResponse response = pipeline.compile(request);
+    if (!response.done()) {
+      std::fprintf(stderr, "femto-db: %s: %s: %s\n", s.name.c_str(),
+                   core::to_string(response.status), response.detail.c_str());
+      return 2;
+    }
+    std::printf("  %-12s model CNOTs %d\n", s.name.c_str(),
+                response.outcomes.front().result.best.model_cnots);
+    builder.insert(service::protocol::coalesce_key(request),
+                   service::protocol::canonical_response(response));
+  }
 
   if (const std::string err = builder.write(out_path); !err.empty()) {
     std::fprintf(stderr, "femto-db: %s\n", err.c_str());
     return 2;
   }
-  const auto stats = pipeline.cache().stats();
-  std::printf(
-      "wrote %zu entries to %s (cache: %zu hits, %zu misses, ~%zu KiB)\n",
-      builder.size(), out_path.c_str(), stats.hits, stats.misses,
-      stats.approx_bytes / 1024);
+  std::printf("wrote %zu entries to %s\n", builder.size(), out_path.c_str());
   return 0;
 }
 
@@ -181,26 +151,18 @@ int cmd_info(const char* path) {
     std::fprintf(stderr, "femto-db: %s\n", err.c_str());
     return 2;
   }
-  std::size_t gates = 0, key_bytes = 0;
-  std::map<std::uint64_t, std::size_t> orbits;
+  std::size_t key_bytes = 0, value_bytes = 0;
   for (std::size_t i = 0; i < database->entry_count(); ++i) {
-    const auto c = database->circuit_at(i);
-    if (c.has_value()) gates += c->gates().size();
     key_bytes += database->key(i).size();
-    ++orbits[database->orbit_hash(i)];
+    value_bytes += database->value(i).size();
   }
-  std::size_t largest_orbit = 0;
-  for (const auto& [hash, count] : orbits)
-    largest_orbit = std::max(largest_orbit, count);
   std::printf("%s\n", path);
   std::printf("  format version      %u\n", database->format_version());
-  std::printf("  synthesis contract  %u\n", database->synthesis_contract());
+  std::printf("  compile contract    %u\n", database->compile_contract());
   std::printf("  file bytes          %zu\n", database->file_bytes());
   std::printf("  entries             %zu\n", database->entry_count());
-  std::printf("  key bytes           %zu\n", key_bytes);
-  std::printf("  stored gates        %zu\n", gates);
-  std::printf("  distinct orbits     %zu (largest %zu entries)\n",
-              orbits.size(), largest_orbit);
+  std::printf("  request bytes       %zu\n", key_bytes);
+  std::printf("  response bytes      %zu\n", value_bytes);
   return 0;
 }
 
@@ -211,28 +173,26 @@ int cmd_verify(const char* path) {
     std::fprintf(stderr, "femto-db: %s\n", err.c_str());
     return 2;
   }
+  core::CompilePipeline pipeline;
   std::size_t failures = 0;
   for (std::size_t i = 0; i < database->entry_count(); ++i) {
-    const auto decoded = db::decode_key(database->key(i));
-    if (!decoded.has_value()) {
-      std::fprintf(stderr, "entry %zu: canonical key does not decode\n", i);
+    std::string parse_err;
+    const auto key = service::json::parse(database->key(i), &parse_err);
+    core::CompileRequest request;
+    if (!key.has_value() ||
+        !service::protocol::decode_request(*key, request, parse_err)) {
+      std::fprintf(stderr, "entry %zu: key is not a protocol request: %s\n",
+                   i, parse_err.c_str());
       ++failures;
       continue;
     }
-    const auto stored = database->circuit_at(i);
-    if (!stored.has_value()) {
-      std::fprintf(stderr, "entry %zu: stored circuit does not decode\n", i);
-      ++failures;
-      continue;
-    }
-    const circuit::QuantumCircuit fresh = synth::synthesize_sequence(
-        decoded->n, decoded->seq, decoded->policy, decoded->native);
-    if (fresh.gates() != stored->gates() ||
-        fresh.num_qubits() != stored->num_qubits()) {
+    const std::string fresh =
+        service::protocol::canonical_response(pipeline.compile(request));
+    if (fresh != database->value(i)) {
       std::fprintf(stderr,
-                   "entry %zu: stored circuit differs from fresh synthesis "
-                   "(%zu vs %zu gates)\n",
-                   i, stored->gates().size(), fresh.gates().size());
+                   "entry %zu: stored response differs from a fresh compile "
+                   "(%zu vs %zu bytes)\n",
+                   i, database->value(i).size(), fresh.size());
       ++failures;
     }
   }
@@ -241,7 +201,7 @@ int cmd_verify(const char* path) {
                  failures, database->entry_count());
     return 1;
   }
-  std::printf("all %zu entries verified bit-identical to fresh synthesis\n",
+  std::printf("all %zu entries verified byte-identical to a fresh compile\n",
               database->entry_count());
   return 0;
 }

@@ -1,28 +1,31 @@
 // femtod: the long-running compilation service daemon.
 //
-// Boots one shared CompilePipeline (one SynthesisCache, optionally backed
-// by a persistent database as read-through L2), binds an AF_UNIX socket,
-// and serves the JSON-line protocol of src/service/server.hpp: compile
-// requests stream in, lifecycle-tracked tickets stream results back, and
-// identical in-flight requests coalesce onto one execution.
+// Boots one service::Service (a CompilePipeline behind a bounded queue and
+// a plan store of completed responses), binds an AF_UNIX socket, and
+// serves the JSON-line protocol of src/service/server.hpp: compile
+// requests stream in, lifecycle-tracked tickets stream results back,
+// identical in-flight requests coalesce onto one execution, and a repeat
+// of a completed request is answered from the plan store without running.
 //
 //   femtod --socket <path> [--workers N] [--max-queue N] [--db <path.fdb>]
 //          [--default-deadline S] [--trace-dir <dir>] [--log]
 //          [--degrade-on-db-error]
 //
-// --degrade-on-db-error turns a missing/corrupt --db file from a boot
-// failure (exit 2) into DEGRADED serving: a loud stderr line, the
-// service.degraded gauge raised, and every compile served from pure
-// in-process synthesis -- bit-identical to a daemon that never had a
-// database (the DB only memoizes a pure function). The `stats` op reports
-// "degraded": true so fleets can alert on it.
+// --db backs the plan store with a prebuilt `femto-db build` file: a
+// request whose canonical bytes match an entry is served its stored
+// response. The file is opened once; a missing or corrupt one is a boot
+// failure (exit 2). --degrade-on-db-error turns that into DEGRADED
+// serving: a loud stderr line, the service.degraded gauge raised, and
+// every request compiled -- byte-identical to a daemon that never had a
+// database (it only holds responses the compile produces anyway). The
+// `stats` op reports "degraded": true so fleets can alert on it.
 //
 // --trace-dir enables per-request tracing: every completed work writes a
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) to
 // <dir>/request-<id>.json, and the `trace` wire op serves the most recent
 // one. The `metrics` op (always available) exports the unified metrics
-// registry: cache hit/miss counters, request-latency percentiles, live
-// queue gauges.
+// registry: plan-store hit/miss counters, request-latency percentiles,
+// live queue gauges.
 //
 // Prints "femtod: serving on <path>" once the socket accepts connections
 // (drivers wait for the line OR poll-connect the socket). Shuts down on
@@ -40,7 +43,6 @@
 #include <sys/stat.h>
 
 #include "common/failpoint.hpp"
-#include "db/database.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -62,7 +64,7 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace femto;
 
-  std::string socket_path, db_path;
+  std::string socket_path;
   service::ServiceOptions service_options;
   bool log = false;
   for (int i = 1; i < argc; ++i) {
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--db") {
       const char* v = value();
       if (v == nullptr) return usage();
-      db_path = v;
+      service_options.database_path = v;
     } else if (arg == "--default-deadline") {
       const char* v = value();
       if (v == nullptr) return usage();
@@ -98,7 +100,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--log") {
       log = true;
     } else if (arg == "--degrade-on-db-error") {
-      service_options.pipeline.degrade_on_db_error = true;
+      service_options.degrade_on_db_error = true;
     } else {
       return usage();
     }
@@ -120,20 +122,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!db_path.empty()) {
-    // Validate up front for a clean exit code; the pipeline re-opens it
-    // (and would abort on failure, which a daemon should never do on argv).
-    // With --degrade-on-db-error the pipeline ctor handles the failure
-    // itself (loud log + degraded serving), so boot proceeds.
-    std::string err;
-    if (!db::Database::open(db_path, &err).has_value() &&
-        !service_options.pipeline.degrade_on_db_error) {
-      std::fprintf(stderr, "femtod: %s\n", err.c_str());
-      return 2;
-    }
-    service_options.pipeline.database_path = db_path;
-  }
-
   // Force FEMTO_FAILPOINTS parsing now: a malformed spec must kill the
   // boot, not the first armed evaluation mid-serve.
   static_cast<void>(fail::registry());
@@ -153,10 +141,9 @@ int main(int argc, char** argv) {
               socket_path.c_str(),
               server.service().pipeline().worker_count(),
               service_options.max_queue,
-              db_path.empty() ? ""
-              : server.service().pipeline().db_degraded()
-                  ? ", db DEGRADED"
-                  : ", db attached");
+              service_options.database_path.empty() ? ""
+              : server.service().degraded()          ? ", db DEGRADED"
+                                                     : ", db attached");
   std::fflush(stdout);
 
   server.run([] { return g_stop != 0; });
