@@ -5,8 +5,9 @@
 //   baseline  : per-term shared target + exact intra order + doubly greedy
 //   gtsp-ga   : the paper's joint GTSP (order + per-string targets)
 // The three modes of each ansatz size are batch-compiled in one
-// CompilePipeline call (core/pipeline.hpp), so the sweep saturates every
-// available worker; the per-size timed section measures the whole batch.
+// CompilePipeline::compile() request (core/pipeline.hpp), so the sweep
+// saturates every available worker; the per-size timed section measures the
+// whole batch.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -50,23 +51,25 @@ int main() {
   bench::Harness h("ablation_sorting");
   core::CompilePipeline pipeline;
   for (std::size_t ne : {4, 8, 12}) {
-    const auto scenarios = mode_scenarios(ne);
-    std::vector<core::CompileResult> results;
+    const core::CompileRequest request{.scenarios = mode_scenarios(ne)};
+    core::CompileResponse resp;
     h.run("sort/batch_water" + std::to_string(ne), 3,
-          [&] { results = pipeline.compile_batch(scenarios); });
-    for (std::size_t m = 0; m < results.size(); ++m)
-      h.metric(kModeNames[m], results[m].model_cnots);
+          [&] { resp = pipeline.compile(request); });
+    for (std::size_t m = 0; m < resp.outcomes.size(); ++m)
+      h.metric(kModeNames[m], resp.outcomes[m].result.best.model_cnots);
   }
   // Summary table (the ablation result itself), one batch per size.
   std::printf("\n# E3 sorting ablation (water, JW, no compression)\n");
   std::printf("%4s %8s %10s %9s\n", "Ne", "none", "baseline", "gtsp-ga");
   for (std::size_t ne : {4, 8, 12, 17}) {
-    const auto results = pipeline.compile_batch(mode_scenarios(ne));
-    std::printf("%4zu %8d %10d %9d\n", ne, results[0].model_cnots,
-                results[1].model_cnots, results[2].model_cnots);
+    const core::CompileResponse resp =
+        pipeline.compile({.scenarios = mode_scenarios(ne)});
+    int cnots[3] = {};
+    for (std::size_t m = 0; m < 3; ++m)
+      cnots[m] = resp.outcomes.at(m).result.best.model_cnots;
+    std::printf("%4zu %8d %10d %9d\n", ne, cnots[0], cnots[1], cnots[2]);
     h.section("summary/water" + std::to_string(ne));
-    for (std::size_t m = 0; m < results.size(); ++m)
-      h.metric(kModeNames[m], results[m].model_cnots);
+    for (std::size_t m = 0; m < 3; ++m) h.metric(kModeNames[m], cnots[m]);
   }
   return h.write_json() ? 0 : 1;
 }

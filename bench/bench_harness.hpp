@@ -53,7 +53,16 @@ class Harness {
     std::vector<double> times;
     times.reserve(static_cast<std::size_t>(repeats));
     for (int r = 0; r < repeats; ++r) times.push_back(time_once(fn));
+    return record(name, std::move(times));
+  }
+
+  /// Records a timed section from wall times measured by the caller (e.g.
+  /// interleaved with another section's runs). Same statistics, echo and
+  /// return value as run().
+  double record(const std::string& name, std::vector<double> times) {
+    FEMTO_EXPECTS(!times.empty());
     std::sort(times.begin(), times.end());
+    const int repeats = static_cast<int>(times.size());
     Section s;
     s.name = name;
     s.repeats = repeats;

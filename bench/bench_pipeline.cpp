@@ -10,7 +10,8 @@
 //    worker count -- multi-restart can only improve the plan (restart 0 IS
 //    the single-shot compile).
 //  - Batch throughput: a transform x sorting scenario sweep batch-compiled
-//    in one call vs sequential single compiles.
+//    in one request vs sequential single compiles.
+//  - Tracing overhead: the same seeded request untraced vs traced.
 //
 // Every quality metric (best_cnots) is deterministic for the committed
 // master seed and thread-count invariant, which is what the CI bench gate
@@ -43,11 +44,22 @@ core::CompileOptions sweep_options() {
   return o;
 }
 
+/// The best plan of `restarts` restarts of one scenario.
+core::MultiStartResult best_plan(core::CompilePipeline& pipeline,
+                                    const core::CompileScenario& scenario,
+                                    std::size_t restarts) {
+  return std::move(
+      pipeline.compile({.scenarios = {scenario}, .restarts = restarts})
+          .outcomes.at(0)
+          .result);
+}
+
 }  // namespace
 
 int main() {
   bench::Harness h("pipeline");
   const bench::TermFixture& f = bench::water_terms(8);
+  const core::CompileScenario sweep{"water8", f.n, f.terms, sweep_options()};
   constexpr std::size_t kRestarts = 8;
 
   // E7a: worker scaling of one 8-restart SA sorting sweep.
@@ -57,9 +69,8 @@ int main() {
     core::MultiStartResult result;
     const double t = h.run(
         "pipeline/sa_sweep_r8_w" + std::to_string(workers), 3, [&] {
-          core::CompilePipeline pipeline(
-              {.workers = workers, .restarts = kRestarts});
-          result = pipeline.compile_best(f.n, f.terms, sweep_options());
+          core::CompilePipeline pipeline({.workers = workers});
+          result = best_plan(pipeline, sweep, kRestarts);
         });
     h.metric("best_cnots", result.best.model_cnots);
     h.metric("best_restart", static_cast<double>(result.best_restart));
@@ -82,8 +93,8 @@ int main() {
   for (std::size_t restarts : {1u, 2u, 4u, 8u}) {
     core::MultiStartResult result;
     h.run("pipeline/restarts" + std::to_string(restarts), 3, [&] {
-      core::CompilePipeline pipeline({.workers = 0, .restarts = restarts});
-      result = pipeline.compile_best(f.n, f.terms, sweep_options());
+      core::CompilePipeline pipeline({.workers = 0});
+      result = best_plan(pipeline, sweep, restarts);
     });
     h.metric("best_cnots", result.best.model_cnots);
     std::printf("%9zu %10d %12zu\n", restarts, result.best.model_cnots,
@@ -109,23 +120,27 @@ int main() {
       scenarios.push_back(std::move(s));
     }
   }
-  std::vector<core::CompileResult> batch_results;
+  std::vector<int> batch_cnots;
   const double t_seq = h.run("pipeline/batch6_seq", 3, [&] {
-    batch_results.clear();
+    batch_cnots.clear();
     for (const auto& s : scenarios)
-      batch_results.push_back(core::compile_vqe(s.num_qubits, s.terms, s.options));
+      batch_cnots.push_back(
+          core::compile_vqe(s.num_qubits, s.terms, s.options).model_cnots);
   });
   const double t_pool = h.run("pipeline/batch6_pool", 3, [&] {
-    core::CompilePipeline pipeline({.workers = 0, .restarts = 1});
-    batch_results = pipeline.compile_batch(scenarios);
+    core::CompilePipeline pipeline({.workers = 0});
+    const core::CompileResponse resp =
+        pipeline.compile({.scenarios = scenarios});
+    batch_cnots.clear();
+    for (const core::ScenarioOutcome& oc : resp.outcomes)
+      batch_cnots.push_back(oc.result.best.model_cnots);
   });
   h.metric("scaling_vs_seq", t_seq / t_pool);
   std::printf("\n# E7c batch sweep (water Ne=8): transform x sorting cnots\n");
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    std::printf("  %-10s %6d\n", scenarios[i].name.c_str(),
-                batch_results[i].model_cnots);
+    std::printf("  %-10s %6d\n", scenarios[i].name.c_str(), batch_cnots[i]);
     h.section("batch/" + scenarios[i].name);
-    h.metric("cnots", batch_results[i].model_cnots);
+    h.metric("cnots", batch_cnots[i]);
   }
 
   // E7e: tracing overhead + contracts (the obs/ subsystem's CI gate).
@@ -135,6 +150,9 @@ int main() {
   // gate), (b) export parseable Chrome trace-event JSON with events in it
   // (trace_valid_json), and (c) leave the canonical compile response
   // byte-identical (trace_bit_identical) -- tracing observes, never steers.
+  // The untraced and traced runs alternate, and each pair swaps which side
+  // goes first, so host drift over the section lands on both minima
+  // instead of reading as tracing cost.
   {
     core::CompileRequest request;
     core::CompileScenario s;
@@ -147,22 +165,38 @@ int main() {
     request.restarts = 2;
     request.seed = 20230306;
     const auto canonical_compile = [&] {
-      core::CompilePipeline pipeline({.workers = 0, .restarts = 1});
+      core::CompilePipeline pipeline({.workers = 0});
       const core::CompileResponse resp = pipeline.compile(request);
       return service::protocol::encode_response(
                  service::protocol::summarize(resp, /*include_circuits=*/true))
           .encode();
     };
 
-    std::string off_canonical;
-    h.run("pipeline/trace_off", 5, [&] { off_canonical = canonical_compile(); });
-    const double t_off_min = h.sections().back().min_s;
-
     obs::Tracer tracer;
-    obs::Tracer::set_active(&tracer);
-    std::string on_canonical;
-    h.run("pipeline/trace_on", 5, [&] { on_canonical = canonical_compile(); });
-    obs::Tracer::set_active(nullptr);
+    std::string off_canonical, on_canonical;
+    std::vector<double> t_off, t_on;
+    const auto untraced = [&] {
+      t_off.push_back(
+          bench::time_once([&] { off_canonical = canonical_compile(); }));
+    };
+    const auto traced = [&] {
+      obs::Tracer::set_active(&tracer);
+      t_on.push_back(
+          bench::time_once([&] { on_canonical = canonical_compile(); }));
+      obs::Tracer::set_active(nullptr);
+    };
+    for (int pair = 0; pair < 5; ++pair) {
+      if (pair % 2 == 0) {
+        untraced();
+        traced();
+      } else {
+        traced();
+        untraced();
+      }
+    }
+    h.record("pipeline/trace_off", std::move(t_off));
+    const double t_off_min = h.sections().back().min_s;
+    h.record("pipeline/trace_on", std::move(t_on));
     const double t_on_min = h.sections().back().min_s;
 
     const std::string trace_json = tracer.to_json();

@@ -131,7 +131,6 @@ Daemon boot_daemon(const std::string& femtod, const std::string& socket_path,
     service::SocketServerOptions options;
     options.socket_path = socket_path;
     options.service.pipeline.workers = 2;
-    options.service.pipeline.restarts = 1;
     if (!db_path.empty()) options.service.database_path = db_path;
     d.server = std::make_unique<service::SocketServer>(std::move(options));
     if (const std::string err = d.server->start(); !err.empty()) {

@@ -1,11 +1,9 @@
 // Experiment E6: solver micro-benchmarks.
 //
 //  - GTSP: GA vs greedy vs random on synthetic clustered instances
-//    (solution quality and wall time), plus the multi-restart GA on the
-//    shared thread pool (opt/restart.hpp): restart 0 reproduces the
-//    single-shot run, so quality can only improve with restarts.
-//  - Simulated annealing schedule sweep on a rugged test function, plus the
-//    multi-restart SA driver.
+//    (solution quality and wall time). Restarts of whole compiles are
+//    core/pipeline.hpp's job and are measured by bench_pipeline.
+//  - Simulated annealing schedule sweep on a rugged test function.
 //  - Linear-reversible synthesis: PMH vs plain Gaussian elimination CNOT
 //    counts (the PMH dedup should win as n grows; paper reference [26]).
 #include <cmath>
@@ -15,13 +13,11 @@
 #include "bench_harness.hpp"
 
 #include "bench_fixtures.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/rotation_blocks.hpp"
 #include "core/sorting.hpp"
 #include "gf2/linear_synthesis.hpp"
 #include "opt/gtsp.hpp"
-#include "opt/restart.hpp"
 #include "opt/simulated_annealing.hpp"
 #include "synth/target.hpp"
 #include "transform/linear_encoding.hpp"
@@ -50,7 +46,6 @@ opt::GtspInstance random_instance(std::size_t clusters, std::size_t k) {
 
 int main() {
   bench::Harness h("solvers");
-  ThreadPool pool;
   for (std::size_t clusters : {16, 48}) {
     const auto inst = random_instance(clusters, 4);
     const auto bench_one = [&](const char* name, auto&& solve) {
@@ -67,12 +62,6 @@ int main() {
               [&](Rng& r) { return opt::solve_gtsp_greedy(inst, r).value; });
     bench_one("random",
               [&](Rng& r) { return opt::solve_gtsp_random(inst, r, 50).value; });
-    // Multi-restart GA on the pool: seed 7 stream 0 == the single-shot run.
-    double value8 = 0;
-    h.run("gtsp/ga_restart8_" + std::to_string(clusters), 3, [&] {
-      value8 = opt::solve_gtsp_ga_restarts(8, 7, inst, {}, &pool).value;
-    });
-    h.metric("value", value8);
   }
   for (std::size_t n : {8, 16, 32, 64}) {
     Rng rng(11);
@@ -95,8 +84,7 @@ int main() {
   }
 
   std::printf("\n# E6b SA cooling-schedule sweep: f(x)=(x-17)^2/10+3 sin x\n");
-  std::printf("%8s %8s %8s %12s %12s\n", "steps", "t0", "restarts", "best-f",
-              "best-f-r8");
+  std::printf("%8s %8s %12s\n", "steps", "t0", "best-f");
   for (const auto& [steps, t0] : {std::pair{200, 1.0}, {200, 5.0},
                                  {2000, 1.0}, {2000, 5.0}, {8000, 5.0}}) {
     Rng rng(5);
@@ -109,14 +97,10 @@ int main() {
     sa.t_initial = t0;
     sa.t_final = 0.01;
     const auto res = opt::simulated_annealing<int>(100, energy, propose, rng, sa);
-    // 8 restarts on the pool; stream 0 reproduces the Rng(5) run above.
-    const auto res8 = opt::simulated_annealing_restarts<int>(
-        8, 5, 100, energy, propose, sa, &pool);
-    std::printf("%8d %8.1f %8d %12.4f %12.4f\n", steps, t0, 8,
-                res.best_energy, res8.best_energy);
+    std::printf("%8d %8.1f %12.4f\n", steps, t0, res.best_energy);
     h.section("sa/steps" + std::to_string(steps) + "_t" +
               std::to_string(static_cast<int>(t0)));
-    h.metric("best_energy_r8", res8.best_energy);
+    h.metric("best_energy", res.best_energy);
   }
 
   // E6d: the GTSP sorter on a REAL instance -- the water(8) Jordan-Wigner

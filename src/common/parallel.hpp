@@ -1,11 +1,11 @@
 // A small std::thread worker pool with a shared job queue.
 //
-// The compilation pipeline (core/pipeline.hpp) and the multi-restart solver
-// drivers (opt/restart.hpp) schedule independent, slot-indexed jobs on this
-// pool. Determinism is preserved by construction: every job writes only its
-// own output slot and draws randomness only from an Rng stream derived from
-// (master seed, slot index), so the result set is identical for any worker
-// count and any execution interleaving.
+// The compilation pipeline (core/pipeline.hpp) schedules its independent,
+// slot-indexed restart jobs on this pool. Determinism is preserved by
+// construction: every job writes only its own output slot and draws
+// randomness only from an Rng stream derived from (master seed, restart
+// index), so the result set is identical for any worker count and any
+// execution interleaving.
 //
 // parallel_for() lets the *calling* thread participate in draining the index
 // range, which keeps a 1-worker pool as fast as a plain loop and makes

@@ -13,9 +13,9 @@
 //   stage_plan      classification, hybrid plan, compression bookkeeping,
 //   stage_transform Gamma search (SA / PSO / fixed),
 //   stage_emit      ordered generators, segment sorting and synthesis --
-// so a compile is a pure function of (n, terms, options). Multi-restart and
-// batch entry points that schedule many such compiles on a thread pool live
-// in core/pipeline.hpp.
+// so a compile is a pure function of (n, terms, options). Restarts, batches
+// and target fan-outs of many such compiles go through the one request
+// entry point of core/pipeline.hpp, CompilePipeline::compile().
 //
 // Accounting (see EXPERIMENTS.md): "model" CNOTs follow the paper's cost
 // model -- 2 per bosonic term, sum of string costs minus interface savings
@@ -736,8 +736,8 @@ inline void stage_emit(StageContext& ctx, CompileResult& result, Rng& rng) {
 }  // namespace detail
 
 /// Full single-shot compilation entry point: the staged pipeline above over
-/// one Rng seeded with options.seed. See core/pipeline.hpp for multi-restart
-/// and batch compilation.
+/// one Rng seeded with options.seed. Restart 0 of a CompilePipeline request
+/// (core/pipeline.hpp) is exactly this call.
 [[nodiscard]] inline CompileResult compile_vqe(
     std::size_t n, const std::vector<fermion::ExcitationTerm>& terms,
     const CompileOptions& options = {}) {

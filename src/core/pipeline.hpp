@@ -1,5 +1,5 @@
-// Parallel multi-restart / batch compilation pipeline behind ONE unified
-// entry point: CompilePipeline::compile(CompileRequest) -> CompileResponse.
+// The parallel multi-restart compilation pipeline and its ONE entry point:
+// CompilePipeline::compile(CompileRequest) -> CompileResponse.
 //
 // A CompileRequest is the cross product (scenarios x targets x restarts)
 // plus the request-scoped controls a serving tier needs: an explicit master
@@ -9,21 +9,15 @@
 // and "compile via the service" are literally the same request shape -- and
 // a seeded request returns a bit-identical plan either way.
 //
-// The historical entry points survive as thin documented adapters over
-// compile():
-//
-//  - compile_best             one scenario, PipelineOptions.restarts fan-out
-//  - compile_batch            many scenarios, one restart each
-//  - compile_batch_best       many scenarios, restarts fan-out each
-//  - compile_best_for_targets one scenario fanned out per hardware target
-//
-// Determinism contract: every job is a pure function of (scenario, derived
-// seed) and writes only its own output slot; winner selection is a pure
-// reduction over the complete slot vector. The same master seeds therefore
-// yield bit-identical results for ANY worker count -- this is what makes
-// the CI bench-regression gates trustworthy. Nothing here caches or
-// persists results: the serving layer memoizes whole requests
-// (service/server.hpp), the level at which repeats actually occur.
+// This file is the only code that seeds, fans out and reduces restarts.
+// Restart r of master seed s runs on restart_seed(s, r), and the lowest
+// (ranking cost, restart index) wins. Every job is a pure function of
+// (scenario, derived seed) and writes only its own output slot; winner
+// selection is a pure reduction over the complete slot vector. The same
+// master seeds therefore yield bit-identical results for ANY worker count
+// -- this is what makes the CI bench-regression gates trustworthy. Nothing
+// here caches or persists results: the serving layer memoizes whole
+// requests (service/server.hpp), the level at which repeats actually occur.
 //
 // Cancellation and deadlines are cooperative and checked at RESTART
 // boundaries: a restart job either runs to completion or is skipped before
@@ -43,7 +37,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <utility>
@@ -51,10 +44,10 @@
 
 #include "common/failpoint.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "core/compiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "opt/restart.hpp"
 #include "verify/equivalence.hpp"
 
 namespace femto::core {
@@ -95,11 +88,6 @@ struct MultiStartResult {
       if (!r.equivalent()) return false;
     return true;
   }
-};
-
-struct TargetCompileResult {
-  synth::HardwareTarget target;
-  MultiStartResult result;
 };
 
 /// Terminal disposition of a CompileRequest. The service lifecycle
@@ -219,6 +207,15 @@ inline constexpr std::size_t kMaxRestartJobs = 250'000;
              std::to_string(s.num_qubits) + " exceeds the maximum of " +
              std::to_string(kMaxQubits);
     for (const fermion::ExcitationTerm& term : s.terms) {
+      // make_double's canonical form (creation p < q, annihilation r < s)
+      // is what the pair-compression pass reads. A term that annihilates
+      // exactly the orbitals it creates has a zero generator.
+      if (term.is_double() && !(term.p < term.q && term.r < term.s))
+        return "scenario '" + s.name + "': term " + term.to_string() +
+               " is not canonical: a double needs p < q and r < s";
+      if (term.p == term.r && (!term.is_double() || term.q == term.s))
+        return "scenario '" + s.name + "': term " + term.to_string() +
+               " annihilates the orbitals it creates: its generator is zero";
       const std::size_t top =
           term.is_double() ? std::max({term.p, term.q, term.r, term.s})
                            : std::max(term.p, term.r);
@@ -239,65 +236,68 @@ inline constexpr std::size_t kMaxRestartJobs = 250'000;
 }
 
 struct PipelineOptions {
-  // NOTE: there is deliberately NO positional constructor: use designated
-  // initializers or field assignment.
-
   /// Worker threads; 0 = hardware concurrency.
   std::size_t workers = 0;
-  /// Restarts per compile in compile_best / compile_batch_best.
-  std::size_t restarts = 1;
-  /// Default for the adapter entry points (compile_best & co.); a
-  /// CompileRequest carries its own verify flag. Non-default targets
-  /// certify the LOWERED/routed circuit, so the routing and native-gate
-  /// passes are inside the verified boundary.
-  bool verify = false;
-  /// Checker knobs used when verification runs.
-  verify::EquivalenceOptions verify_options;
-
-  /// Diagnostic for inconsistent configurations; empty string = valid.
-  [[nodiscard]] std::string validate() const {
-    if (restarts < 1)
-      return "PipelineOptions.restarts must be >= 1 (got " +
-             std::to_string(restarts) + "); a compile needs at least the "
-             "master-seed restart";
-    if (verify && verify_options.allow_dense_fallback &&
-        verify_options.dense_trials < 1)
-      return "PipelineOptions.verify is on but verify_options.dense_trials "
-             "is " +
-             std::to_string(verify_options.dense_trials) +
-             "; the dense arbiter needs at least one trial (or disable "
-             "allow_dense_fallback)";
-    return "";
-  }
 };
+
+/// Seed of restart `r` under master seed `master`: the master itself for
+/// r == 0 (so a 1-restart request is the single-shot compile_vqe call), an
+/// independent derived stream otherwise.
+[[nodiscard]] constexpr std::uint64_t restart_seed(std::uint64_t master,
+                                                   std::size_t r) {
+  return r == 0 ? master : derive_stream_seed(master, r);
+}
+
+/// The figure of merit a restart is ranked by: the historical model-CNOT
+/// count on the default target (bit-identical winner selection), the
+/// exact device cost of the lowered/routed artifact on other targets
+/// (falling back to the closed-form model when nothing was emitted) --
+/// the pipeline keeps the plan that is best for the DEVICE it compiled
+/// for, matching the objectives the stochastic stages optimized.
+[[nodiscard]] inline int ranking_cost(const CompileResult& r,
+                                      const CompileOptions& options) {
+  if (options.target.is_all_to_all_cnot()) return r.model_cnots;
+  return options.emit_circuit ? r.device_cost : r.model_cost;
+}
+
+/// Deterministic winner selection over the COMPLETED restarts of one cell:
+/// (ranking_cost, restart index). Skipped restarts keep their report slot
+/// (completed = false) but never compete.
+[[nodiscard]] inline MultiStartResult reduce_restarts(
+    const CompileOptions& options, std::vector<CompileResult> results,
+    const std::uint8_t* completed) {
+  MultiStartResult out;
+  out.restarts.reserve(results.size());
+  int best_cost = 0;
+  bool have_best = false;
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    const bool ok = completed[r] != 0;
+    out.restarts.push_back({restart_seed(options.seed, r),
+                            results[r].model_cnots, results[r].model_cost,
+                            results[r].device_cost, ok});
+    if (!ok) continue;
+    const int cost = ranking_cost(results[r], options);
+    if (!have_best || cost < best_cost) {
+      have_best = true;
+      best_cost = cost;
+      out.best = std::move(results[r]);
+      out.best_restart = r;
+    }
+  }
+  return out;
+}
 
 class CompilePipeline {
  public:
   explicit CompilePipeline(PipelineOptions options = {})
-      : options_(std::move(options)), pool_(options_.workers) {
-    if (const std::string err = options_.validate(); !err.empty()) {
-      std::fprintf(stderr, "femto: invalid PipelineOptions: %s\n",
-                   err.c_str());
-      FEMTO_EXPECTS(false && "invalid PipelineOptions (diagnostic above)");
-    }
-  }
+      : pool_(options.workers) {}
 
   [[nodiscard]] std::size_t worker_count() const {
     return pool_.worker_count();
   }
-  [[nodiscard]] const PipelineOptions& options() const { return options_; }
-  [[nodiscard]] ThreadPool& pool() { return pool_; }
 
-  /// Verification verdicts of the most recent compile, in job order
-  /// (scenario i x target t, restart r at index (i*T + t)*R + r). Empty
-  /// unless the request verified.
-  [[nodiscard]] const std::vector<verify::EquivalenceReport>&
-  last_verification() const {
-    return last_verification_;
-  }
-
-  /// THE unified entry point: every (scenario, target) cell multi-restarted
-  /// on one job queue, reduced deterministically, optionally verified, with
+  /// THE entry point: every (scenario, target) cell multi-restarted on one
+  /// job queue, reduced deterministically, optionally verified, with
   /// cooperative cancel/deadline checks at restart boundaries. Invalid
   /// requests return kRejected with a diagnostic -- compile() never aborts
   /// on request content, so a serving daemon survives any wire input.
@@ -310,7 +310,6 @@ class CompilePipeline {
     if (std::string err = validate_request(request); !err.empty()) {
       out.status = RequestStatus::kRejected;
       out.detail = std::move(err);
-      last_verification_.clear();
       return out;
     }
     const std::size_t S = request.scenarios.size();
@@ -348,31 +347,32 @@ class CompilePipeline {
     }
 
     std::vector<std::uint8_t> completed;
-    std::vector<CompileResult> results = run_jobs(
-        std::move(jobs), request.verify, request.cancel, deadline, completed);
+    std::vector<verify::EquivalenceReport> verification;
+    std::vector<CompileResult> results =
+        run_jobs(std::move(jobs), request.verify, request.cancel, deadline,
+                 completed, verification);
 
     out.outcomes.reserve(S * T);
     std::size_t done_jobs = 0;
     for (std::size_t cell = 0; cell < S * T; ++cell) {
+      const auto first = static_cast<std::ptrdiff_t>(cell * R);
+      const auto last = static_cast<std::ptrdiff_t>((cell + 1) * R);
       ScenarioOutcome oc;
       oc.scenario = request.scenarios[cell / T].name;
       oc.target = expanded[cell].target;
-      std::vector<CompileResult> slice(
-          std::make_move_iterator(results.begin() +
-                                  static_cast<std::ptrdiff_t>(cell * R)),
-          std::make_move_iterator(results.begin() +
-                                  static_cast<std::ptrdiff_t>((cell + 1) * R)));
-      oc.result = reduce_restarts(expanded[cell].seed, expanded[cell],
-                                  std::move(slice), &completed[cell * R]);
+      oc.result = reduce_restarts(
+          expanded[cell],
+          std::vector<CompileResult>(
+              std::make_move_iterator(results.begin() + first),
+              std::make_move_iterator(results.begin() + last)),
+          &completed[cell * R]);
       for (std::size_t r = 0; r < R; ++r)
         if (completed[cell * R + r]) ++oc.restarts_completed;
       done_jobs += oc.restarts_completed;
-      if (!last_verification_.empty())
+      if (request.verify)
         oc.result.verification.assign(
-            last_verification_.begin() +
-                static_cast<std::ptrdiff_t>(cell * R),
-            last_verification_.begin() +
-                static_cast<std::ptrdiff_t>((cell + 1) * R));
+            std::make_move_iterator(verification.begin() + first),
+            std::make_move_iterator(verification.begin() + last));
       out.outcomes.push_back(std::move(oc));
     }
 
@@ -392,82 +392,6 @@ class CompilePipeline {
     return out;
   }
 
-  // --- historical entry points: thin adapters over compile() -------------
-
-  /// N = PipelineOptions.restarts independent restarts of one compile;
-  /// keeps the best-cost plan. Restart r runs options.seed for r == 0 and a
-  /// derived stream otherwise, so the result can never cost more than
-  /// single-shot compile_vqe(options) and is bit-identical for any worker
-  /// count. Adapter for compile() with one scenario.
-  [[nodiscard]] MultiStartResult compile_best(
-      std::size_t n, const std::vector<fermion::ExcitationTerm>& terms,
-      const CompileOptions& options) {
-    CompileRequest req;
-    req.scenarios.push_back({"", n, terms, options});
-    req.restarts = options_.restarts;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_best");
-    return std::move(resp.outcomes.front().result);
-  }
-
-  /// Batch-compiles scenarios once each (no restart fan-out); results[i]
-  /// belongs to scenarios[i]. Adapter for compile() with restarts = 1.
-  [[nodiscard]] std::vector<CompileResult> compile_batch(
-      const std::vector<CompileScenario>& scenarios) {
-    CompileRequest req;
-    req.scenarios = scenarios;
-    req.restarts = 1;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_batch");
-    std::vector<CompileResult> results;
-    results.reserve(resp.outcomes.size());
-    for (ScenarioOutcome& oc : resp.outcomes)
-      results.push_back(std::move(oc.result.best));
-    return results;
-  }
-
-  /// One multi-restart compile per hardware target (all restarts of all
-  /// targets share one job queue on the pool). Results come back in target
-  /// order. Adapter for compile() with a target fan-out.
-  [[nodiscard]] std::vector<TargetCompileResult> compile_best_for_targets(
-      std::size_t n, const std::vector<fermion::ExcitationTerm>& terms,
-      const CompileOptions& base,
-      const std::vector<synth::HardwareTarget>& targets) {
-    CompileRequest req;
-    req.scenarios.push_back({"", n, terms, base});
-    req.targets = targets;
-    req.restarts = options_.restarts;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_best_for_targets");
-    std::vector<TargetCompileResult> out;
-    out.reserve(targets.size());
-    for (std::size_t t = 0; t < targets.size(); ++t)
-      out.push_back({targets[t], std::move(resp.outcomes[t].result)});
-    return out;
-  }
-
-  /// Multi-restarts every scenario; results[i] belongs to scenarios[i]. All
-  /// scenarios' restarts share one job queue, so wide batches keep every
-  /// worker busy even when individual scenarios are small. Adapter for
-  /// compile().
-  [[nodiscard]] std::vector<MultiStartResult> compile_batch_best(
-      const std::vector<CompileScenario>& scenarios) {
-    CompileRequest req;
-    req.scenarios = scenarios;
-    req.restarts = options_.restarts;
-    req.verify = options_.verify;
-    CompileResponse resp = compile(req);
-    expect_done(resp, "compile_batch_best");
-    std::vector<MultiStartResult> out;
-    out.reserve(resp.outcomes.size());
-    for (ScenarioOutcome& oc : resp.outcomes)
-      out.push_back(std::move(oc.result));
-    return out;
-  }
-
  private:
   /// One restart of one (scenario, target) cell. The cell's options are
   /// copied only while the job runs, so queued jobs hold no per-job state.
@@ -480,31 +404,21 @@ class CompilePipeline {
     std::size_t restart = 0;
   };
 
-  /// The adapters promise complete results; anything else is a programming
-  /// error at the call site (the service layer, which handles partial
-  /// statuses, calls compile() directly).
-  static void expect_done(const CompileResponse& resp, const char* entry) {
-    if (resp.done()) return;
-    std::fprintf(stderr, "femto: %s failed: %s: %s\n", entry,
-                 to_string(resp.status), resp.detail.c_str());
-    FEMTO_EXPECTS(false && "compile request failed (diagnostic above)");
-  }
-
   /// Runs all jobs on the pool (slot-indexed, so output order == input
   /// order). Each job checks the cancel flag and deadline BEFORE running --
   /// the cooperative restart-boundary check -- and either runs to
   /// completion (completed[i] = 1) or is skipped whole (completed[i] = 0).
   /// With verify, each completed job also certifies its emitted circuit
-  /// against the recorded spec before returning its slot.
+  /// against the recorded spec into verification[i].
   [[nodiscard]] std::vector<CompileResult> run_jobs(
       std::vector<Job> jobs, bool verify, const std::atomic<bool>* cancel,
       std::chrono::steady_clock::time_point deadline,
-      std::vector<std::uint8_t>& completed) {
+      std::vector<std::uint8_t>& completed,
+      std::vector<verify::EquivalenceReport>& verification) {
     std::vector<CompileResult> results(jobs.size());
     completed.assign(jobs.size(), 1);
-    last_verification_.clear();
-    if (verify) last_verification_.resize(jobs.size());
-    const verify::EquivalenceChecker checker(options_.verify_options);
+    if (verify) verification.resize(jobs.size());
+    const verify::EquivalenceChecker checker;
     static obs::Counter& restarts_completed =
         obs::registry().counter("pipeline.restarts_completed");
     static obs::Counter& restarts_skipped =
@@ -515,17 +429,16 @@ class CompilePipeline {
         completed[i] = 0;
         restarts_skipped.inc();
         if (verify)
-          last_verification_[i].detail =
+          verification[i].detail =
               "not verified: restart job skipped (cancelled or deadline "
               "exceeded)";
         return;
       }
       CompileOptions options = *jobs[i].cell;
-      options.seed = opt::restart_seed(options.seed, jobs[i].restart);
+      options.seed = restart_seed(options.seed, jobs[i].restart);
       obs::Span span("restart", "pipeline");
       span.arg("restart", jobs[i].restart);
-      if (jobs[i].scenario_name != nullptr)
-        span.arg("scenario", *jobs[i].scenario_name);
+      span.arg("scenario", *jobs[i].scenario_name);
       span.arg("target", options.target.name);
       results[i] = compile_vqe(jobs[i].num_qubits, *jobs[i].terms, options);
       if (FEMTO_FAILPOINT("pipeline.restart")) {
@@ -546,12 +459,12 @@ class CompilePipeline {
           // Certify the final artifact: on non-default targets that is the
           // lowered/routed circuit, so the routing pass and native-gate
           // lowering sit INSIDE the verified boundary.
-          last_verification_[i] =
+          verification[i] =
               checker.check_spec(results[i].final_circuit(), results[i].spec);
         } else {
           // Nothing to certify: say so instead of leaving a blank report
           // that reads like a silent failure.
-          last_verification_[i].detail =
+          verification[i].detail =
               "not verified: no circuit emitted (emit_circuit = false)";
         }
       }
@@ -559,48 +472,7 @@ class CompilePipeline {
     return results;
   }
 
-  /// The figure of merit a restart is ranked by: the historical model-CNOT
-  /// count on the default target (bit-identical winner selection), the
-  /// exact device cost of the lowered/routed artifact on other targets
-  /// (falling back to the closed-form model when nothing was emitted) --
-  /// the pipeline keeps the plan that is best for the DEVICE it compiled
-  /// for, matching the objectives the stochastic stages optimized.
-  [[nodiscard]] static int ranking_cost(const CompileResult& r,
-                                        const CompileOptions& options) {
-    if (options.target.is_all_to_all_cnot()) return r.model_cnots;
-    return options.emit_circuit ? r.device_cost : r.model_cost;
-  }
-
-  /// Deterministic winner selection over the COMPLETED restarts:
-  /// (ranking_cost, restart index). Skipped restarts keep their report slot
-  /// (completed = false) but never compete.
-  [[nodiscard]] static MultiStartResult reduce_restarts(
-      std::uint64_t master_seed, const CompileOptions& options,
-      std::vector<CompileResult> results, const std::uint8_t* completed) {
-    MultiStartResult out;
-    out.restarts.reserve(results.size());
-    int best_cost = 0;
-    bool have_best = false;
-    for (std::size_t r = 0; r < results.size(); ++r) {
-      const bool ok = completed == nullptr || completed[r] != 0;
-      out.restarts.push_back({opt::restart_seed(master_seed, r),
-                              results[r].model_cnots, results[r].model_cost,
-                              results[r].device_cost, ok});
-      if (!ok) continue;
-      const int cost = ranking_cost(results[r], options);
-      if (!have_best || cost < best_cost) {
-        have_best = true;
-        best_cost = cost;
-        out.best = std::move(results[r]);
-        out.best_restart = r;
-      }
-    }
-    return out;
-  }
-
-  PipelineOptions options_;
   ThreadPool pool_;
-  std::vector<verify::EquivalenceReport> last_verification_;
 };
 
 }  // namespace femto::core

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "opt/restart.hpp"
 
 namespace femto::opt {
 
@@ -88,22 +87,6 @@ struct PsoResult {
     }
   }
   return result;
-}
-
-/// Multi-restart binary PSO on derived seed streams; restart 0 reproduces
-/// the single-shot call with Rng(master_seed) exactly. `energy` must be safe
-/// to call concurrently when a pool is supplied.
-[[nodiscard]] inline PsoResult binary_pso_restarts(
-    std::size_t restarts, std::uint64_t master_seed, std::size_t dim,
-    const std::function<double(const std::vector<bool>&)>& energy,
-    const PsoOptions& options = {}, ThreadPool* pool = nullptr) {
-  auto outcome = best_of_restarts(
-      restarts, master_seed,
-      [&](Rng& rng, std::size_t) {
-        return binary_pso(dim, energy, rng, options);
-      },
-      [](const PsoResult& r) { return r.best_energy; }, pool);
-  return std::move(outcome.result);
 }
 
 }  // namespace femto::opt

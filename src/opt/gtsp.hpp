@@ -35,7 +35,6 @@
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "opt/restart.hpp"
 
 namespace femto::opt {
 
@@ -63,7 +62,7 @@ struct GtspOptions {
 
 /// A GTSP instance with the pairwise weight materialized into a flat
 /// row-major matrix. Build once (the only place the weight function -- or
-/// any equivalent formula -- runs), then share READ-ONLY across restarts and
+/// any equivalent formula -- runs), then share READ-ONLY across solves and
 /// threads: the solver core never writes it. Intra-cluster pairs are never
 /// consulted by any solver path and stay 0.
 struct GtspDense {
@@ -598,36 +597,6 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   if (inst.clusters.empty()) return {};
   const GtspDense dense(inst);
   return solve_gtsp_ga(dense, rng, options);
-}
-
-/// Multi-restart GA on derived seed streams; restart 0 reproduces the
-/// single-shot call with Rng(master_seed) exactly. GTSP maximizes, so the
-/// restart driver minimizes -value. The dense weight matrix is built ONCE on
-/// the calling thread and shared read-only across the pool workers, so the
-/// weight function runs exactly once per vertex pair no matter how many
-/// restarts fan out (and memoizing closures are safe to pass).
-[[nodiscard]] inline GtspSolution solve_gtsp_ga_restarts(
-    std::size_t restarts, std::uint64_t master_seed, const GtspDense& dense,
-    const GtspOptions& options = {}, ThreadPool* pool = nullptr) {
-  auto outcome = best_of_restarts(
-      restarts, master_seed,
-      [&](Rng& rng, std::size_t) { return solve_gtsp_ga(dense, rng, options); },
-      [](const GtspSolution& s) { return -s.value; }, pool);
-  return std::move(outcome.result);
-}
-
-[[nodiscard]] inline GtspSolution solve_gtsp_ga_restarts(
-    std::size_t restarts, std::uint64_t master_seed, const GtspInstance& inst,
-    const GtspOptions& options = {}, ThreadPool* pool = nullptr) {
-  if (inst.clusters.empty()) {
-    auto outcome = best_of_restarts(
-        restarts, master_seed,
-        [&](Rng& rng, std::size_t) { return solve_gtsp_ga(inst, rng, options); },
-        [](const GtspSolution& s) { return -s.value; }, pool);
-    return std::move(outcome.result);
-  }
-  const GtspDense dense(inst);
-  return solve_gtsp_ga_restarts(restarts, master_seed, dense, options, pool);
 }
 
 /// Pure greedy baseline (used by ablation bench E3).

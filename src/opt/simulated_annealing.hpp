@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/rng.hpp"
-#include "opt/restart.hpp"
 
 namespace femto::opt {
 
@@ -69,24 +68,6 @@ template <typename State>
     }
   }
   return result;
-}
-
-/// Multi-restart simulated annealing on derived seed streams (see
-/// opt/restart.hpp); restart 0 reproduces the single-shot call with
-/// Rng(master_seed) exactly. `init` is copied into every restart.
-template <typename State>
-[[nodiscard]] SaResult<State> simulated_annealing_restarts(
-    std::size_t restarts, std::uint64_t master_seed, const State& init,
-    const std::function<double(const State&)>& energy,
-    const std::function<State(const State&, Rng&)>& propose,
-    const SaOptions& options = {}, ThreadPool* pool = nullptr) {
-  auto outcome = best_of_restarts(
-      restarts, master_seed,
-      [&](Rng& rng, std::size_t) {
-        return simulated_annealing<State>(init, energy, propose, rng, options);
-      },
-      [](const SaResult<State>& r) { return r.best_energy; }, pool);
-  return std::move(outcome.result);
 }
 
 }  // namespace femto::opt

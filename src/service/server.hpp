@@ -84,12 +84,10 @@ struct ServiceOptions {
   double default_deadline_s = 0.0;
   /// Log admission rejections and lifecycle summaries to stderr.
   bool log = false;
-  /// Capture a per-request span tree (queue wait -> run -> per-restart ->
-  /// per-stage) for every work. The last trace is served by the `trace`
-  /// wire op; with trace_dir set, each trace is also written to
+  /// Non-empty = capture a per-request span tree (queue wait -> run ->
+  /// per-restart -> per-stage) for every work and write each to
   /// <trace_dir>/request-<id>.json (Chrome trace-event format, loadable in
-  /// Perfetto). Tracing is enabled iff trace || !trace_dir.empty().
-  bool trace = false;
+  /// Perfetto). The last trace is also served by the `trace` wire op.
   std::string trace_dir;
   /// Prebuilt compilation database (.fdb) read behind the plan store;
   /// empty = none. One that fails to open is loud: SocketServer::start()
@@ -366,7 +364,7 @@ class Service {
     return stats_;
   }
   [[nodiscard]] bool tracing_enabled() const {
-    return options_.trace || !options_.trace_dir.empty();
+    return !options_.trace_dir.empty();
   }
   /// Chrome trace-event JSON of the most recently completed work (empty
   /// until the first traced work finishes). Served by the `trace` wire op.
@@ -374,9 +372,10 @@ class Service {
     std::lock_guard<std::mutex> g(trace_mu_);
     return last_trace_;
   }
-  /// The pipeline every executed request runs on. Do not compile on it
-  /// concurrently with a live service; use submit().
-  [[nodiscard]] core::CompilePipeline& pipeline() { return pipeline_; }
+  /// Worker threads of the pipeline every executed request runs on.
+  [[nodiscard]] std::size_t worker_count() const {
+    return pipeline_.worker_count();
+  }
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
   /// Why options().database_path did not open; empty when it opened or
   /// none was given.
@@ -618,21 +617,18 @@ class Service {
   }
 
   /// Exports a completed work's trace: retained as the last trace (served
-  /// by the `trace` op) and, with trace_dir set, written to
-  /// <trace_dir>/request-<work_id>.json. Called from the scheduler thread
-  /// off the service lock, after the pipeline run joined its workers (the
-  /// tracer's quiescence requirement).
+  /// by the `trace` op) and written to <trace_dir>/request-<work_id>.json.
+  /// Called from the scheduler thread off the service lock, after the
+  /// pipeline run joined its workers (the tracer's quiescence requirement).
   void publish_trace(const Work& work) {
     std::string json = work.tracer->to_json();
-    if (!options_.trace_dir.empty()) {
-      const std::string path = options_.trace_dir + "/request-" +
-                               std::to_string(work.work_id) + ".json";
-      if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-      } else if (options_.log) {
-        std::fprintf(stderr, "femtod: cannot write trace %s\n", path.c_str());
-      }
+    const std::string path = options_.trace_dir + "/request-" +
+                             std::to_string(work.work_id) + ".json";
+    if (std::FILE* f = std::fopen(path.c_str(), "w"); f != nullptr) {
+      std::fwrite(json.data(), 1, json.size(), f);
+      std::fclose(f);
+    } else if (options_.log) {
+      std::fprintf(stderr, "femtod: cannot write trace %s\n", path.c_str());
     }
     std::lock_guard<std::mutex> g(trace_mu_);
     last_trace_ = std::move(json);
@@ -858,8 +854,8 @@ class Service {
 
 struct SocketServerOptions {
   std::string socket_path;
+  /// The service behind the socket; its `log` flag covers the socket layer.
   ServiceOptions service;
-  bool log = false;
   /// Longest protocol line the daemon will buffer for one connection. A
   /// peer that exceeds it without sending '\n' gets a loud protocol error
   /// and the connection is closed -- a misbehaving client must not be able
@@ -1027,7 +1023,7 @@ class SocketServer {
                     "protocol error: line exceeds " +
                         std::to_string(options_.max_line_bytes) +
                         " bytes without a newline; closing connection");
-        if (options_.log)
+        if (options_.service.log)
           std::fprintf(stderr,
                        "femtod: closing connection: %zu buffered bytes "
                        "without a newline (max_line_bytes %zu)\n",
@@ -1111,7 +1107,7 @@ class SocketServer {
       v.set("in_flight", json::Value::number(static_cast<std::uint64_t>(
                              service_.in_flight())));
       v.set("workers",
-            json::Value::number(service_.pipeline().worker_count()));
+            json::Value::number(service_.worker_count()));
       v.set("degraded", json::Value::boolean(service_.degraded()));
       write_line(conn, v.encode());
     } else if (op == "failpoints") {
@@ -1189,8 +1185,7 @@ class SocketServer {
     } else if (op == "trace") {
       if (!service_.tracing_enabled()) {
         write_error(conn, "trace", "",
-                    "tracing disabled: start femtod with --trace-dir (or "
-                    "ServiceOptions.trace)");
+                    "tracing disabled: start femtod with --trace-dir");
         return;
       }
       const std::string trace = service_.last_trace();

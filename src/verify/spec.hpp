@@ -6,7 +6,8 @@
 // block handed to the synthesizer. The spec is the *input* to synthesis, not
 // its output, so checking the emitted circuit against it
 // (verify/equivalence.hpp) is an independent end-to-end certificate over the
-// synthesizer, the peephole passes, and the synthesis cache -- at any qubit
+// synthesizer, the peephole passes, and (checked against the lowered circuit
+// on non-default targets) native-gate lowering and routing -- at any qubit
 // count, in milliseconds, without a 2^n vector.
 //
 // This header is deliberately light (gate IR + rotation blocks only) so the

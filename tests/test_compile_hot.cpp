@@ -315,43 +315,6 @@ TEST(DenseGtsp, GaBitIdenticalToLazyReference) {
   }
 }
 
-TEST(DenseGtsp, RestartsShareOneMatrixAndMatchSerial) {
-  Rng build_rng(108);
-  std::vector<double> table;
-  const auto inst = random_gtsp(10, 3, build_rng, table);
-  // Count weight-function invocations: the restart API must materialize
-  // exactly once regardless of restart count.
-  std::size_t calls = 0;
-  opt::GtspInstance counting = inst;
-  const auto base = inst.weight;
-  counting.weight = [&calls, base](int a, int b) {
-    ++calls;
-    return base(a, b);
-  };
-  const opt::GtspSolution multi =
-      opt::solve_gtsp_ga_restarts(6, 42, counting, {});
-  std::size_t cross_cluster_pairs = 0;
-  for (const auto& ca : inst.clusters)
-    for (const auto& cb : inst.clusters)
-      if (&ca != &cb) cross_cluster_pairs += ca.size() * cb.size();
-  EXPECT_EQ(calls, cross_cluster_pairs);
-
-  // And the winner equals the best serial run over the derived streams.
-  opt::GtspSolution best;
-  double best_cost = 0;
-  for (std::size_t r = 0; r < 6; ++r) {
-    Rng rng(opt::restart_seed(42, r));
-    opt::GtspSolution sol = opt::solve_gtsp_ga(inst, rng, {});
-    if (r == 0 || -sol.value < best_cost) {
-      best_cost = -sol.value;
-      best = std::move(sol);
-    }
-  }
-  EXPECT_EQ(multi.cluster_order, best.cluster_order);
-  EXPECT_EQ(multi.vertex_choice, best.vertex_choice);
-  EXPECT_EQ(multi.value, best.value);
-}
-
 /// Random string whose letters come from a small alphabet on few qubits, so
 /// interface savings collide often (ties between orders and targets).
 pauli::PauliString tie_prone_string(std::size_t n, Rng& rng) {

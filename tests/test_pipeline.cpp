@@ -1,6 +1,6 @@
 // Tests for the parallel multi-restart compilation pipeline
-// (core/pipeline.hpp) and its substrate: the thread pool, derived seed
-// streams, and the common optimizer restart driver.
+// (core/pipeline.hpp) and its substrate: the thread pool and the derived
+// restart seed streams.
 //
 // The load-bearing property is determinism: one master seed must yield
 // bit-identical best plans for ANY worker count, which is what makes the CI
@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
+#include <string>
 #include <vector>
 
 #include "chem/integrals.hpp"
@@ -18,7 +18,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
-#include "opt/restart.hpp"
 #include "vqe/uccsd.hpp"
 
 namespace femto {
@@ -67,6 +66,10 @@ core::CompileOptions fast_options() {
   return o;
 }
 
+core::CompileScenario scenario(std::string name, const Fixture& f) {
+  return {std::move(name), f.n, f.terms, fast_options()};
+}
+
 void expect_identical(const core::CompileResult& a,
                       const core::CompileResult& b) {
   EXPECT_EQ(a.num_qubits, b.num_qubits);
@@ -110,9 +113,10 @@ TEST(ThreadPool, PropagatesFirstException) {
 
 TEST(RngStreams, RestartZeroIsMasterAndStreamsAreDistinct) {
   const std::uint64_t master = 20230306;
-  EXPECT_EQ(opt::restart_seed(master, 0), master);
+  EXPECT_EQ(core::restart_seed(master, 0), master);
   std::vector<std::uint64_t> seeds;
-  for (std::size_t r = 0; r < 16; ++r) seeds.push_back(opt::restart_seed(master, r));
+  for (std::size_t r = 0; r < 16; ++r)
+    seeds.push_back(core::restart_seed(master, r));
   for (std::size_t a = 0; a < seeds.size(); ++a)
     for (std::size_t b = a + 1; b < seeds.size(); ++b)
       EXPECT_NE(seeds[a], seeds[b]) << "streams " << a << " and " << b;
@@ -121,95 +125,56 @@ TEST(RngStreams, RestartZeroIsMasterAndStreamsAreDistinct) {
   EXPECT_NE(derive_stream_seed(1, 2), derive_stream_seed(2, 1));
 }
 
-TEST(RestartDriver, NeverWorseThanSingleShotAndPoolInvariant) {
-  // Rugged integer lattice from test_opt, deliberately short chains so
-  // single restarts frequently miss the global minimum.
-  const auto energy = [](const int& x) {
-    return (x - 17) * (x - 17) / 10.0 + 3.0 * std::sin(static_cast<double>(x));
-  };
-  const auto propose = [](const int& x, Rng& r) { return x + r.range(-3, 3); };
-  const opt::SaOptions sa{5.0, 0.01, 60, 0};
-  const std::uint64_t master = 99;
-
-  Rng single_rng(master);
-  const auto single =
-      opt::simulated_annealing<int>(100, energy, propose, single_rng, sa);
-  const auto serial = opt::simulated_annealing_restarts<int>(
-      8, master, 100, energy, propose, sa, nullptr);
-  EXPECT_LE(serial.best_energy, single.best_energy);
-
-  ThreadPool pool(4);
-  const auto parallel = opt::simulated_annealing_restarts<int>(
-      8, master, 100, energy, propose, sa, &pool);
-  EXPECT_EQ(parallel.best, serial.best);
-  EXPECT_EQ(parallel.best_energy, serial.best_energy);
-}
-
-TEST(RestartDriver, GtspRestartsNeverWorse) {
-  opt::GtspInstance inst;
-  const std::size_t m = 10, k = 4;
-  int next = 0;
-  for (std::size_t c = 0; c < m; ++c) {
-    std::vector<int> cluster;
-    for (std::size_t v = 0; v < k; ++v) cluster.push_back(next++);
-    inst.clusters.push_back(cluster);
-  }
-  inst.weight = [](int a, int b) {
-    const unsigned h = static_cast<unsigned>(a) * 73856093u ^
-                       static_cast<unsigned>(b) * 19349663u;
-    return static_cast<double>(h % 1000) / 100.0;
-  };
-  opt::GtspOptions options;
-  options.generations = 40;
-  options.stagnation_limit = 20;
-  Rng single_rng(7);
-  const double single = opt::solve_gtsp_ga(inst, single_rng, options).value;
-  ThreadPool pool(3);
-  const double multi =
-      opt::solve_gtsp_ga_restarts(6, 7, inst, options, &pool).value;
-  EXPECT_GE(multi, single - 1e-12);
-}
-
 TEST(Pipeline, VerifyOnCertifiesEveryRestartAndScenario) {
-  const Fixture& f = lih();
-  core::PipelineOptions pipe_options;
-  pipe_options.workers = 4;
-  pipe_options.restarts = 3;
-  pipe_options.verify = true;
-  core::CompilePipeline pipeline(pipe_options);
-  const core::MultiStartResult multi =
-      pipeline.compile_best(f.n, f.terms, fast_options());
-  ASSERT_EQ(multi.verification.size(), 3u);
-  EXPECT_TRUE(multi.all_verified());
-  for (const auto& report : multi.verification)
-    EXPECT_TRUE(report.equivalent()) << report.to_string();
-
-  // Batch-best: per-scenario verification slices, all certified.
-  core::CompileScenario s;
-  s.name = "lih";
-  s.num_qubits = f.n;
-  s.terms = f.terms;
-  s.options = fast_options();
-  const auto batch = pipeline.compile_batch_best({s, s});
-  ASSERT_EQ(batch.size(), 2u);
-  for (const auto& b : batch) {
-    ASSERT_EQ(b.verification.size(), 3u);
-    EXPECT_TRUE(b.all_verified());
+  // 2 scenarios x 2 targets x 3 restarts: every cell carries its own 3
+  // verdicts, all certified, and verdict r certifies restart r's circuit.
+  core::CompilePipeline pipeline({.workers = 4});
+  const std::vector<core::CompileScenario> scenarios = {
+      scenario("lih", lih()), scenario("h2", h2())};
+  const std::vector<synth::HardwareTarget> targets = {
+      synth::HardwareTarget::all_to_all_cnot(),
+      synth::HardwareTarget::trapped_ion_xx()};
+  const core::CompileResponse grid = pipeline.compile({.scenarios = scenarios,
+                                                       .targets = targets,
+                                                       .restarts = 3,
+                                                       .verify = true});
+  ASSERT_TRUE(grid.done());
+  ASSERT_EQ(grid.outcomes.size(), 4u);
+  const verify::EquivalenceChecker checker;
+  for (std::size_t cell = 0; cell < grid.outcomes.size(); ++cell) {
+    const core::CompileScenario& s = scenarios[cell / 2];
+    const core::ScenarioOutcome& oc = grid.outcomes[cell];
+    EXPECT_EQ(oc.scenario, s.name);
+    EXPECT_EQ(oc.target.name, targets[cell % 2].name);
+    ASSERT_EQ(oc.result.verification.size(), 3u) << cell;
+    EXPECT_TRUE(oc.result.all_verified()) << cell;
+    for (const auto& report : oc.result.verification)
+      EXPECT_TRUE(report.equivalent()) << report.to_string();
+    for (std::size_t r = 0; r < 3; ++r) {
+      core::CompileOptions o = s.options;
+      o.target = targets[cell % 2];
+      o.seed = core::restart_seed(o.seed, r);
+      const core::CompileResult direct =
+          core::compile_vqe(s.num_qubits, s.terms, o);
+      EXPECT_EQ(oc.result.verification[r].to_string(),
+                checker.check_spec(direct.final_circuit(), direct.spec)
+                    .to_string())
+          << "cell " << cell << " restart " << r;
+    }
   }
-  EXPECT_EQ(pipeline.last_verification().size(), 6u);
 }
 
 TEST(Pipeline, VerifyOnDoesNotChangeResults) {
-  const Fixture& f = h2();
-  const core::CompileOptions options = fast_options();
-  core::CompilePipeline plain({.workers = 2, .restarts = 2});
-  core::PipelineOptions verified_options;
-  verified_options.workers = 2;
-  verified_options.restarts = 2;
-  verified_options.verify = true;
-  core::CompilePipeline verified(verified_options);
-  const auto a = plain.compile_best(f.n, f.terms, options);
-  const auto b = verified.compile_best(f.n, f.terms, options);
+  const core::CompileScenario s = scenario("h2", h2());
+  core::CompilePipeline pipeline({.workers = 2});
+  const core::CompileResponse ra =
+      pipeline.compile({.scenarios = {s}, .restarts = 2});
+  const core::CompileResponse rb =
+      pipeline.compile({.scenarios = {s}, .restarts = 2, .verify = true});
+  ASSERT_TRUE(ra.done());
+  ASSERT_TRUE(rb.done());
+  const core::MultiStartResult& a = ra.outcomes.at(0).result;
+  const core::MultiStartResult& b = rb.outcomes.at(0).result;
   EXPECT_EQ(a.best_restart, b.best_restart);
   expect_identical(a.best, b.best);
   EXPECT_TRUE(a.verification.empty());  // off by default
@@ -219,12 +184,14 @@ TEST(Pipeline, VerifyOnDoesNotChangeResults) {
 TEST(Pipeline, ThreadCountInvariance) {
   // 1, 2, and 8 workers must produce bit-identical best plans (gamma, term
   // order, CNOT counts, and the emitted gate stream) for one master seed.
-  const Fixture& f = lih();
-  const core::CompileOptions options = fast_options();
+  const core::CompileScenario s = scenario("lih", lih());
   std::vector<core::MultiStartResult> results;
   for (std::size_t workers : {1u, 2u, 8u}) {
-    core::CompilePipeline pipeline({.workers = workers, .restarts = 4});
-    results.push_back(pipeline.compile_best(f.n, f.terms, options));
+    core::CompilePipeline pipeline({.workers = workers});
+    core::CompileResponse resp =
+        pipeline.compile({.scenarios = {s}, .restarts = 4});
+    ASSERT_TRUE(resp.done());
+    results.push_back(std::move(resp.outcomes.at(0).result));
   }
   for (std::size_t k = 1; k < results.size(); ++k) {
     EXPECT_EQ(results[k].best_restart, results[0].best_restart);
@@ -239,125 +206,55 @@ TEST(Pipeline, ThreadCountInvariance) {
 }
 
 TEST(Pipeline, MultiRestartNeverWorseThanSingleShot) {
-  const Fixture& f = lih();
-  const core::CompileOptions options = fast_options();
-  const core::CompileResult single = core::compile_vqe(f.n, f.terms, options);
-  core::CompilePipeline pipeline({.workers = 2, .restarts = 4});
-  const core::MultiStartResult multi =
-      pipeline.compile_best(f.n, f.terms, options);
+  const core::CompileScenario s = scenario("lih", lih());
+  const core::CompileResult single =
+      core::compile_vqe(s.num_qubits, s.terms, s.options);
+  core::CompilePipeline pipeline({.workers = 2});
+  const core::CompileResponse resp =
+      pipeline.compile({.scenarios = {s}, .restarts = 4});
+  ASSERT_TRUE(resp.done());
+  const core::MultiStartResult& multi = resp.outcomes.at(0).result;
   EXPECT_LE(multi.best.model_cnots, single.model_cnots);
   // Restart 0 runs the master seed itself, reproducing single-shot exactly.
   ASSERT_GE(multi.restarts.size(), 1u);
-  EXPECT_EQ(multi.restarts[0].seed, options.seed);
+  EXPECT_EQ(multi.restarts[0].seed, s.options.seed);
   EXPECT_EQ(multi.restarts[0].model_cnots, single.model_cnots);
 }
 
 TEST(Pipeline, BatchOutputOrderMatchesInputScenarioOrder) {
-  const Fixture& small = h2();
-  const Fixture& big = lih();
-  std::vector<core::CompileScenario> scenarios;
-  {
-    core::CompileScenario s;
-    s.name = "lih-advanced";
-    s.num_qubits = big.n;
-    s.terms = big.terms;
-    s.options = fast_options();
-    scenarios.push_back(s);
-  }
-  {
-    core::CompileScenario s;
-    s.name = "h2-jw-baseline";
-    s.num_qubits = small.n;
-    s.terms = small.terms;
-    s.options = fast_options();
-    s.options.transform = core::TransformKind::kJordanWigner;
-    s.options.sorting = core::SortingMode::kBaseline;
-    s.options.compression = core::CompressionMode::kBosonicOnly;
-    scenarios.push_back(s);
-  }
-  {
-    core::CompileScenario s;
-    s.name = "h2-advanced";
-    s.num_qubits = small.n;
-    s.terms = small.terms;
-    s.options = fast_options();
-    scenarios.push_back(s);
-  }
-  core::CompilePipeline pipeline({.workers = 4, .restarts = 1});
-  const std::vector<core::CompileResult> results =
-      pipeline.compile_batch(scenarios);
-  ASSERT_EQ(results.size(), scenarios.size());
+  std::vector<core::CompileScenario> scenarios = {
+      scenario("lih-advanced", lih()), scenario("h2-jw-baseline", h2()),
+      scenario("h2-advanced", h2())};
+  scenarios[1].options.transform = core::TransformKind::kJordanWigner;
+  scenarios[1].options.sorting = core::SortingMode::kBaseline;
+  scenarios[1].options.compression = core::CompressionMode::kBosonicOnly;
+  core::CompilePipeline pipeline({.workers = 4});
+  const core::CompileResponse resp = pipeline.compile({.scenarios = scenarios});
+  ASSERT_TRUE(resp.done());
+  ASSERT_EQ(resp.outcomes.size(), scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    EXPECT_EQ(resp.outcomes[i].scenario, scenarios[i].name);
     const core::CompileResult direct = core::compile_vqe(
         scenarios[i].num_qubits, scenarios[i].terms, scenarios[i].options);
-    expect_identical(results[i], direct);
+    expect_identical(resp.outcomes[i].result.best, direct);
   }
 }
 
-TEST(Pipeline, BatchBestAgreesWithCompileBest) {
-  const Fixture& f = h2();
-  core::CompileScenario s;
-  s.name = "h2";
-  s.num_qubits = f.n;
-  s.terms = f.terms;
-  s.options = fast_options();
-  core::CompilePipeline pipeline({.workers = 2, .restarts = 3});
-  const auto batch = pipeline.compile_batch_best({s, s});
-  const auto single = pipeline.compile_best(f.n, f.terms, s.options);
-  ASSERT_EQ(batch.size(), 2u);
-  for (const auto& b : batch) {
-    EXPECT_EQ(b.best_restart, single.best_restart);
-    expect_identical(b.best, single.best);
-  }
-}
-
-// --- the unified CompileRequest entry point ---------------------------------
-
-TEST(Pipeline, AdaptersAreThinWrappersOverCompileRequest) {
-  const Fixture& f = h2();
-  core::CompileScenario s;
-  s.name = "h2";
-  s.num_qubits = f.n;
-  s.terms = f.terms;
-  s.options = fast_options();
-  core::CompilePipeline pipeline({.workers = 2, .restarts = 3});
-
-  // Every legacy adapter must produce the exact plans the request form
-  // produces -- they are documentation-preserving shims, not code paths.
-  const core::CompileResponse response =
+TEST(Pipeline, MultiScenarioCellEqualsScenarioCompiledAlone) {
+  const core::CompileScenario s = scenario("h2", h2());
+  core::CompilePipeline pipeline({.workers = 2});
+  const core::CompileResponse batch =
+      pipeline.compile({.scenarios = {s, s}, .restarts = 3});
+  const core::CompileResponse single =
       pipeline.compile({.scenarios = {s}, .restarts = 3});
-  ASSERT_TRUE(response.done());
-  ASSERT_EQ(response.outcomes.size(), 1u);
-  EXPECT_EQ(response.outcomes[0].restarts_completed, 3u);
-
-  const core::MultiStartResult via_best =
-      pipeline.compile_best(f.n, f.terms, s.options);
-  expect_identical(response.outcomes[0].result.best, via_best.best);
-  EXPECT_EQ(response.outcomes[0].result.best_restart, via_best.best_restart);
-
-  const core::CompileResponse one_restart =
-      pipeline.compile({.scenarios = {s}, .restarts = 1});
-  ASSERT_TRUE(one_restart.done());
-  const std::vector<core::CompileResult> via_batch =
-      pipeline.compile_batch({s});
-  expect_identical(one_restart.outcomes[0].result.best, via_batch[0]);
-
-  const core::CompileResponse targeted = pipeline.compile({
-      .scenarios = {s},
-      .targets = {synth::HardwareTarget::all_to_all_cnot(),
-                  synth::HardwareTarget::trapped_ion_xx()},
-      .restarts = 3,
-  });
-  ASSERT_TRUE(targeted.done());
-  ASSERT_EQ(targeted.outcomes.size(), 2u);
-  const auto via_targets = pipeline.compile_best_for_targets(
-      f.n, f.terms, s.options,
-      {synth::HardwareTarget::all_to_all_cnot(),
-       synth::HardwareTarget::trapped_ion_xx()});
-  for (std::size_t t = 0; t < 2; ++t) {
-    EXPECT_EQ(targeted.outcomes[t].target.name, via_targets[t].target.name);
-    expect_identical(targeted.outcomes[t].result.best,
-                     via_targets[t].result.best);
+  ASSERT_TRUE(batch.done());
+  ASSERT_TRUE(single.done());
+  ASSERT_EQ(batch.outcomes.size(), 2u);
+  EXPECT_EQ(single.outcomes.at(0).restarts_completed, 3u);
+  for (const core::ScenarioOutcome& b : batch.outcomes) {
+    EXPECT_EQ(b.restarts_completed, 3u);
+    EXPECT_EQ(b.result.best_restart, single.outcomes[0].result.best_restart);
+    expect_identical(b.result.best, single.outcomes[0].result.best);
   }
 }
 
@@ -385,6 +282,31 @@ TEST(Pipeline, CompileRequestRejectsInvalidInputWithDiagnostic) {
   EXPECT_EQ(bad_target.status, core::RequestStatus::kRejected);
   EXPECT_NE(bad_target.detail.find(bad.name), std::string::npos)
       << "diagnostic must name the offending scenario: " << bad_target.detail;
+
+  // Terms outside make_double's canonical form (a double needs p < q and
+  // r < s) and terms with a zero generator, as a wire decoder hands them
+  // over: ["d",3,2,0,1], ["d",2,2,0,1], ["s",1,1], ["d",2,3,1,0],
+  // ["d",0,1,0,1] on 4 qubits.
+  using Kind = fermion::ExcitationTerm::Kind;
+  const auto term = [](Kind kind, std::size_t p, std::size_t q, std::size_t r,
+                       std::size_t s_) {
+    fermion::ExcitationTerm t;
+    t.kind = kind;
+    t.p = p;
+    t.q = q;
+    t.r = r;
+    t.s = s_;
+    return t;
+  };
+  for (const fermion::ExcitationTerm& t :
+       {term(Kind::kDouble, 3, 2, 0, 1), term(Kind::kDouble, 2, 2, 0, 1),
+        term(Kind::kSingle, 1, 0, 1, 0), term(Kind::kDouble, 2, 3, 1, 0),
+        term(Kind::kDouble, 0, 1, 0, 1)}) {
+    const core::CompileScenario odd{"odd-term", 4, {t}, fast_options()};
+    const core::CompileResponse resp = pipeline.compile({.scenarios = {odd}});
+    EXPECT_EQ(resp.status, core::RequestStatus::kRejected) << t.to_string();
+    EXPECT_NE(resp.detail.find(odd.name), std::string::npos) << resp.detail;
+  }
 }
 
 TEST(Pipeline, CompileRequestHonorsCancelAndDeadline) {

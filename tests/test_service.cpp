@@ -1063,6 +1063,21 @@ TEST(ServiceSocket, HostileRequestLinesFailLoudlyAndTheDaemonServesOn) {
       // Each map is within kMaxQubits, but two of them exceed the
       // request's routing-table budget (16 n^2 bytes per decoded map).
       chain_line("two-wide-maps", core::kMaxQubits, 2, 1),
+      // Terms outside make_double's canonical form or with a zero
+      // generator: p > q pairs 3 with an off-register partner (abort);
+      // p == q and a single with p == r came back DONE with 0 CNOTs; r > s
+      // was compiled in a non-canonical order; a bosonic double that
+      // annihilates the pair it creates aborted the bosonic pass.
+      R"({"op":"compile","id":"d-pq-desc","request":{"scenarios":[)"
+      R"({"name":"h","num_qubits":4,"terms":[["d",3,2,0,1,0.1]]}]}})",
+      R"({"op":"compile","id":"d-pq-equal","request":{"scenarios":[)"
+      R"({"name":"h","num_qubits":4,"terms":[["d",2,2,0,1,0.1]]}]}})",
+      R"({"op":"compile","id":"s-pr-equal","request":{"scenarios":[)"
+      R"({"name":"h","num_qubits":4,"terms":[["s",1,1,0.1]]}]}})",
+      R"({"op":"compile","id":"d-rs-desc","request":{"scenarios":[)"
+      R"({"name":"h","num_qubits":4,"terms":[["d",2,3,1,0,0.1]]}]}})",
+      R"({"op":"compile","id":"d-same-pair","request":{"scenarios":[)"
+      R"({"name":"h","num_qubits":4,"terms":[["d",0,1,0,1,0.1]]}]}})",
   };
   for (const std::string& line : lines) {
     ASSERT_TRUE(client.connection().send_line(line));

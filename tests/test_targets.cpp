@@ -361,14 +361,6 @@ TEST(Validation, CompileOptionDiagnosticsAreSpecific) {
   opt.gtsp_options.mutation_rate = 1.5;
   EXPECT_NE(core::validate_options(4, opt).find("mutation_rate"),
             std::string::npos);
-
-  core::PipelineOptions po;
-  po.restarts = 0;
-  EXPECT_NE(po.validate().find("restarts"), std::string::npos);
-  po = core::PipelineOptions{};
-  po.verify = true;
-  po.verify_options.dense_trials = 0;
-  EXPECT_NE(po.validate().find("dense_trials"), std::string::npos);
 }
 
 // ---- compile-stack integration --------------------------------------------
@@ -431,39 +423,47 @@ TEST(TargetCompile, DefaultTargetIsBitIdenticalAnchor) {
 
 TEST(TargetCompile, AllThreeTargetsCompileAndCertify) {
   const WaterFixture& f = water(4);
-  core::CompileOptions base = fast_options();
-  core::PipelineOptions po{.workers = 2, .restarts = 2};
-  po.verify = true;
-  core::CompilePipeline pipeline(po);
+  const core::CompileScenario s{"water4", f.n, f.terms, fast_options()};
+  core::CompilePipeline pipeline({.workers = 2});
   const std::vector<HardwareTarget> targets = {
       HardwareTarget::all_to_all_cnot(),
       HardwareTarget::trapped_ion_xx(),
       HardwareTarget::linear_nn(f.n),
   };
-  const auto results =
-      pipeline.compile_best_for_targets(f.n, f.terms, base, targets);
-  ASSERT_EQ(results.size(), 3u);
-  for (const core::TargetCompileResult& r : results) {
+  const core::CompileResponse resp = pipeline.compile(
+      {.scenarios = {s}, .targets = targets, .restarts = 2, .verify = true});
+  ASSERT_TRUE(resp.done()) << resp.detail;
+  ASSERT_EQ(resp.outcomes.size(), 3u);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const core::ScenarioOutcome& r = resp.outcomes[t];
+    EXPECT_EQ(r.target.name, targets[t].name);
     EXPECT_TRUE(r.result.all_verified()) << r.target.name;
     for (const verify::EquivalenceReport& v : r.result.verification)
       EXPECT_TRUE(v.equivalent()) << r.target.name << ": " << v.to_string();
+    // Each target cell is the scenario compiled alone for that target.
+    core::CompileScenario alone = s;
+    alone.options.target = targets[t];
+    const core::CompileResponse plain = pipeline.compile(
+        {.scenarios = {alone}, .restarts = 2, .verify = true});
+    ASSERT_TRUE(plain.done()) << plain.detail;
+    const core::MultiStartResult& p = plain.outcomes.at(0).result;
+    EXPECT_EQ(r.result.best.model_cnots, p.best.model_cnots) << r.target.name;
+    EXPECT_EQ(r.result.best_restart, p.best_restart) << r.target.name;
+    EXPECT_TRUE(r.result.best.circuit.gates() == p.best.circuit.gates())
+        << r.target.name;
+    EXPECT_TRUE(r.result.best.lowered.gates() == p.best.lowered.gates())
+        << r.target.name;
   }
-  // The all-to-all restart winner matches a plain compile_best run.
-  const auto plain = pipeline.compile_best(f.n, f.terms, base);
-  EXPECT_EQ(results[0].result.best.model_cnots, plain.best.model_cnots);
-  EXPECT_EQ(results[0].result.best_restart, plain.best_restart);
-  EXPECT_TRUE(results[0].result.best.circuit.gates() ==
-              plain.best.circuit.gates());
   // Trapped-ion: native artifact contains no CNOTs, and the pulse model is
   // never worse than the CNOT count of the same plan (the XX model takes
   // the cheaper of its two exact lowering forms per chunk).
-  const core::CompileResult& ion = results[1].result.best;
+  const core::CompileResult& ion = resp.outcomes[1].result.best;
   EXPECT_FALSE(ion.lowered.empty());
   for (const Gate& g : ion.lowered.gates())
     EXPECT_TRUE(!g.two_qubit() || g.kind == circuit::GateKind::kXXrot);
   EXPECT_LE(ion.model_cost, ion.model_cnots);
   // Linear chain: routed artifact respects the coupling and reports swaps.
-  const core::CompileResult& nn = results[2].result.best;
+  const core::CompileResult& nn = resp.outcomes[2].result.best;
   EXPECT_FALSE(nn.lowered.empty());
   EXPECT_TRUE(circuit::respects_coupling(
       nn.lowered, HardwareTarget::linear_nn(f.n).coupling));

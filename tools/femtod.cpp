@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
 
   std::string socket_path;
   service::ServiceOptions service_options;
-  bool log = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       service_options.trace_dir = v;
     } else if (arg == "--log") {
-      log = true;
+      service_options.log = true;
     } else if (arg == "--degrade-on-db-error") {
       service_options.degrade_on_db_error = true;
     } else {
@@ -106,10 +105,6 @@ int main(int argc, char** argv) {
     }
   }
   if (socket_path.empty() || service_options.max_queue == 0) return usage();
-  service_options.log = log;
-  // Per-request knobs (restarts, verify, seed) arrive on the wire; the
-  // pipeline-level defaults only matter for the adapter API, not femtod.
-  service_options.pipeline.restarts = 1;
 
   if (!service_options.trace_dir.empty()) {
     // Create the directory up front so the first trace write cannot fail
@@ -130,16 +125,15 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_signal);
   std::signal(SIGPIPE, SIG_IGN);
 
-  service::SocketServer server({.socket_path = socket_path,
-                                .service = service_options,
-                                .log = log});
+  service::SocketServer server(
+      {.socket_path = socket_path, .service = service_options});
   if (const std::string err = server.start(); !err.empty()) {
     std::fprintf(stderr, "femtod: %s\n", err.c_str());
     return 2;
   }
   std::printf("femtod: serving on %s (workers %zu, queue %zu%s)\n",
               socket_path.c_str(),
-              server.service().pipeline().worker_count(),
+              server.service().worker_count(),
               service_options.max_queue,
               service_options.database_path.empty() ? ""
               : server.service().degraded()          ? ", db DEGRADED"
