@@ -94,8 +94,8 @@ struct CompileOptions {
 
 /// The GT search scores candidates with the exact pipeline cost
 /// (detail::exact_fermionic_cost) while the fermionic segment has at most
-/// this many terms, and with the fast greedy-chain proxy
-/// (fermionic_fast_cost) above it. The exact objective runs one baseline
+/// this many terms, and with the fast greedy-chain proxy (GammaObjective,
+/// reset to each candidate) above it. The exact objective runs one baseline
 /// sort per candidate Gamma, which stops paying on large instances (NH3);
 /// moving the threshold changes the GT column of every row it crosses.
 inline constexpr std::size_t kGtExactObjectiveMaxTerms = 20;
@@ -456,17 +456,15 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
   const synth::HardwareTarget* hw =
       options.target.coupling.constrained() ? &options.target : nullptr;
 
-  // Per-compile memo for device string costs (support-keyed, exact); shared
-  // between the Gamma objectives and fast_term_cost below. Only device
-  // paths consult it -- the default CNOT model's costs are closed-form.
-  synth::StringCostCache string_cost_cache(options.target);
-  synth::StringCostCache* cache_ptr = hw != nullptr ? &string_cost_cache : nullptr;
-
-  // Fast cost of the fermionic segment under a candidate Gamma
-  // (full-recompute path, used by the PSO / level-labeling baselines; the
-  // advanced SA below evaluates the same objective incrementally).
-  const auto gamma_cost = [&](const gf2::Matrix& gamma) -> double {
-    return fermionic_fast_cost(gamma, ctx.fermionic_jw_blocks, hw, cache_ptr);
+  // The fast greedy-chain cost of the fermionic segment: the advanced SA
+  // evaluates it incrementally, one move at a time, and the PSO /
+  // level-labeling baselines reset it to each candidate Gamma. Every such
+  // candidate is invertible: a unit upper-triangular matrix times a
+  // permutation.
+  GammaObjective objective(n, ctx.fermionic_jw_blocks, hw);
+  const auto gamma_cost = [&objective](const gf2::Matrix& gamma) -> double {
+    objective.reset(gamma);
+    return objective.energy();
   };
 
   // Exact (final-pipeline) cost of the fermionic segment for a candidate
@@ -543,12 +541,10 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
     case TransformKind::kAdvanced: {
       const auto blocks = discover_blocks(n, ctx.fermionic_terms,
                                           ctx.pair_members);
-      // Incremental SA: bit-identical to
-      // anneal_gamma(n, blocks, gamma_cost, rng, ...) with O(move-delta)
-      // candidate evaluation (see GammaObjective in core/gamma_search.hpp).
-      GammaState best = anneal_gamma_fast(n, blocks, ctx.fermionic_jw_blocks,
-                                          hw, cache_ptr, rng,
-                                          options.sa_options);
+      // Incremental SA: the generic SA loop over propose_gamma_move on the
+      // same cost, with O(move-delta) candidate evaluation.
+      GammaState best =
+          anneal_gamma_fast(n, blocks, objective, rng, options.sa_options);
       // Small instances: first-improvement hill climb on the *real* cost to
       // close the proxy gap (in-block moves keep GL membership).
       if (ctx.fermionic_jw_blocks.size() <= 12 && !blocks.empty()) {

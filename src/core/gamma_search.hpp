@@ -7,15 +7,21 @@
 //    must stay untouched, e.g. compressed-pair members).
 //  - Advanced search: simulated annealing over block-diagonal Gamma in
 //    GL(N,2); moves are elementary row additions inside one block (closed in
-//    GL). The SA objective is a fast per-term cost; the final pipeline
-//    re-sorts with the full GTSP GA.
+//    GL). The SA objective is GammaObjective's fast per-term cost, updated
+//    per move; the final pipeline re-sorts with the full GTSP GA.
 //  - Baseline searches ([9]): binary PSO over strictly-upper-triangular
 //    bits, and greedy transposition hill-climbing for fermionic level
-//    labeling.
+//    labeling. On large segments they score candidates with the same
+//    GammaObjective, reset to each candidate.
+//
+// GammaObjective is the one fast Gamma cost in src/. Its full-recompute
+// reference and the generic-SA form of anneal_gamma_fast live in
+// tests/support/cost_oracle.hpp.
 #pragma once
 
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -53,63 +59,98 @@ struct GammaState {
   std::vector<std::vector<std::size_t>> blocks;   // index sets
 };
 
+/// Elementary in-block row addition gamma <- E gamma: row dst ^= row src.
+struct GammaMove {
+  std::size_t src = 0, dst = 0;
+};
+
+/// Draws one in-block move: a block, then src, then dst (re-drawn until it
+/// differs from src). A block of fewer than two indices is a null proposal:
+/// only the block is drawn, and no move is returned.
+[[nodiscard]] inline std::optional<GammaMove> draw_gamma_move(
+    const std::vector<std::vector<std::size_t>>& blocks, Rng& rng) {
+  if (blocks.empty()) return std::nullopt;
+  const auto& block = blocks[rng.index(blocks.size())];
+  if (block.size() < 2) return std::nullopt;
+  GammaMove move;
+  move.src = block[rng.index(block.size())];
+  move.dst = block[rng.index(block.size())];
+  while (move.dst == move.src) move.dst = block[rng.index(block.size())];
+  return move;
+}
+
 /// Elementary in-block row addition: gamma <- E gamma (stays invertible).
 [[nodiscard]] inline GammaState propose_gamma_move(const GammaState& state,
                                                    Rng& rng) {
   GammaState next = state;
-  if (state.blocks.empty()) return next;
-  const auto& block = state.blocks[rng.index(state.blocks.size())];
-  if (block.size() < 2) return next;
-  const std::size_t src = block[rng.index(block.size())];
-  std::size_t dst = block[rng.index(block.size())];
-  while (dst == src) dst = block[rng.index(block.size())];
-  next.gamma.add_row(src, dst);
+  if (const auto move = draw_gamma_move(state.blocks, rng))
+    next.gamma.add_row(move->src, move->dst);
   return next;
 }
 
-/// Simulated-annealing search over block-diagonal Gamma. `cost` evaluates a
-/// candidate matrix (typically the fast segment cost).
-[[nodiscard]] inline GammaState anneal_gamma(
-    std::size_t n, const std::vector<std::vector<std::size_t>>& blocks,
-    const std::function<double(const gf2::Matrix&)>& cost, Rng& rng,
-    const opt::SaOptions& options = {}) {
-  GammaState init{gf2::Matrix::identity(n), blocks};
-  const auto energy = [&cost](const GammaState& s) { return cost(s.gamma); };
-  const auto res = opt::simulated_annealing<GammaState>(
-      std::move(init), energy, propose_gamma_move, rng, options);
-  return res.best;
+namespace detail {
+
+/// Best shared-target interface saving between two blocks under a device
+/// model: max over the shared support of the per-target device saving
+/// (scalar loop; the default CNOT model uses the closed-form word-parallel
+/// kernel in synth/cost_model.hpp instead). Returns -1 when no shared
+/// target exists.
+[[nodiscard]] inline int best_shared_device_saving(
+    const pauli::PauliString& p1, const pauli::PauliString& p2,
+    const synth::HardwareTarget& hw) {
+  int best = -1;
+  for (std::size_t t = 0; t < p1.num_qubits(); ++t) {
+    if (p1.letter(t) == pauli::Letter::I ||
+        p2.letter(t) == pauli::Letter::I)
+      continue;
+    best = std::max(best, synth::interface_saving(p1, t, p2, t, hw));
+  }
+  return best;
 }
 
-/// Fast cost of a fermionic segment under a candidate Gamma: conjugate the
-/// symplectic components of every block (x -> Gamma x, z -> Gamma^-T z) and
-/// sum the per-term greedy-chain costs. This is the Gamma-search objective
-/// of the PSO / level-labeling baselines and the full-recompute reference
-/// the incremental GammaObjective below is tested (and benched) against.
-/// Returns 1e18 for singular candidates.
-[[nodiscard]] inline double fermionic_fast_cost(
-    const gf2::Matrix& gamma,
-    const std::vector<std::vector<synth::RotationBlock>>& term_blocks,
-    const synth::HardwareTarget* hw = nullptr,
-    synth::StringCostCache* cost_cache = nullptr) {
-  const auto inv = gamma.inverse();
-  if (!inv.has_value()) return 1e18;
-  const gf2::Matrix inv_t = inv->transpose();
-  const std::size_t n = gamma.size();
-  double total = 0;
-  for (const auto& blocks : term_blocks) {
-    std::vector<synth::RotationBlock> mapped = blocks;
-    for (auto& b : mapped) {
-      pauli::PauliString s(n);
-      s.set_symplectic(gamma.apply(b.string.x()), inv_t.apply(b.string.z()));
-      b.string = std::move(s);
-      const std::size_t t = b.string.support().lowest_set();
-      if (t >= n) return 1e18;  // string vanished: degenerate transform
-      b.target = t;
+/// Greedy nearest-neighbor chain over a precomputed pair-savings table.
+/// table[i*m + j] is the best shared-target saving of j following i, with
+/// -1 marking pairs that cannot chain (identical letters or no shared
+/// target). Returns the total savings collected along the chain; `used` is
+/// caller scratch of at least m bytes. Selection order and tie-breaks match
+/// the nested-loop greedy of the full-recompute test oracle
+/// (tests/support/cost_oracle.hpp) exactly: candidates are scanned in
+/// ascending index with strict improvement, so the first candidate
+/// achieving the maximal saving wins, and when every candidate is
+/// unreachable the lowest-index unused block is taken with zero credit.
+[[nodiscard]] inline int greedy_chain_savings(const int* table, std::size_t m,
+                                              std::uint8_t* used) {
+  std::fill(used, used + m, std::uint8_t{0});
+  used[0] = 1;
+  std::size_t cur = 0;
+  int collected = 0;
+  for (std::size_t step = 1; step < m; ++step) {
+    int best = -1;
+    std::size_t best_next = 0;
+    const int* row = table + cur * m;
+    for (std::size_t cand = 0; cand < m; ++cand) {
+      if (used[cand]) continue;
+      if (row[cand] > best) {
+        best = row[cand];
+        best_next = cand;
+      }
     }
-    total += fast_term_cost(mapped, hw, cost_cache);
+    if (best < 0) {
+      for (std::size_t cand = 0; cand < m; ++cand)
+        if (!used[cand]) {
+          best_next = cand;
+          best = 0;
+          break;
+        }
+    }
+    collected += std::max(best, 0);
+    used[best_next] = 1;
+    cur = best_next;
   }
-  return total;
+  return collected;
 }
+
+}  // namespace detail
 
 /// Incrementally maintained Gamma-search objective. An SA move is one
 /// elementary GF(2) row addition gamma <- E gamma with E = I + e_dst e_src^T
@@ -123,21 +164,29 @@ struct GammaState {
 ///
 /// Only terms owning a block with x[src] or z[dst] set can change cost; all
 /// others keep their cached per-term value. apply_move / undo_move are exact
-/// inverses (E is an involution and the undo journal restores the caches),
-/// and energy() is bit-identical to fermionic_fast_cost(gamma(), ...) at
-/// every point -- the same integer per-term costs in the same order.
+/// inverses (E is an involution and the undo journal restores the caches).
+///
+/// The per-term cost is a greedy-chain proxy of the term's sorted cost:
+/// string costs (on a constrained device, the cheapest routing-aware target
+/// per block) minus the savings of a nearest-neighbor chain from the term's
+/// first block, each step crediting the pair's best shared-target saving
+/// (detail::greedy_chain_savings). energy() is bit-identical to the
+/// full-recompute reference (tests/support/cost_oracle.hpp) at every point:
+/// the same integer per-term costs in the same order.
 class GammaObjective {
  public:
   /// Flattens the per-term block table. Call reset() before first use.
+  /// `hw` is null (the default CNOT model) or a connectivity-constrained
+  /// device, whose routing-aware string costs the objective memoizes in its
+  /// own StringCostCache. An unconstrained device target is scored by the
+  /// default model, so the caller passes null for it.
   GammaObjective(std::size_t n,
                  const std::vector<std::vector<synth::RotationBlock>>& term_blocks,
-                 const synth::HardwareTarget* hw = nullptr,
-                 synth::StringCostCache* cost_cache = nullptr)
-      : n_(n),
-        device_(hw != nullptr && !hw->is_all_to_all_cnot() ? hw : nullptr),
-        cache_(cost_cache),
+                 const synth::HardwareTarget* hw = nullptr)
+      : device_(hw),
         gamma_(gf2::Matrix::identity(n)),
         inv_t_(gf2::Matrix::identity(n)) {
+    FEMTO_EXPECTS(hw == nullptr || hw->coupling.constrained());
     std::size_t max_blocks = 0;
     for (const auto& blocks : term_blocks) {
       Term term;
@@ -151,12 +200,15 @@ class GammaObjective {
     }
     table_.resize(max_blocks * max_blocks);
     used_.resize(max_blocks);
-    if (device_ != nullptr)
+    if (device_ != nullptr) {
+      cache_.emplace(*device_);
       scratch_strings_.assign(max_blocks, pauli::PauliString(n));
+    }
   }
 
-  /// Full recomputation from an arbitrary (invertible) Gamma; used at the
-  /// start of a search and on SA reheats.
+  /// Full recomputation from an arbitrary (invertible) Gamma: the start of
+  /// an SA search, its reheats, and every candidate the GT baseline
+  /// searches score.
   void reset(const gf2::Matrix& gamma) {
     gamma_ = gamma;
     const auto inv = gamma.inverse();
@@ -245,9 +297,8 @@ class GammaObjective {
                                      b.x.word_count());
   }
 
-  /// fast_term_cost of one term over the mapped symplectic pairs: per-block
-  /// string costs plus the greedy chain on the pairwise savings table.
-  /// Mirrors core::fast_term_cost exactly (same tables, same tie-breaks).
+  /// Cost of one term over the mapped symplectic pairs: per-block string
+  /// costs minus the greedy chain on the pairwise savings table.
   [[nodiscard]] int recompute_term(std::size_t ti) {
     const Term& term = terms_[ti];
     const std::size_t m = term.end - term.begin;
@@ -269,22 +320,10 @@ class GammaObjective {
                   : synth::best_shared_target_saving(blocks[i].x, blocks[i].z,
                                                      blocks[j].x, blocks[j].z);
     } else {
+      // Constrained device: the cheapest routing-aware target per block.
       for (std::size_t k = 0; k < m; ++k) {
         scratch_strings_[k].set_symplectic(blocks[k].x, blocks[k].z);
-        const pauli::PauliString& s = scratch_strings_[k];
-        if (!device_->coupling.constrained()) {
-          const std::size_t t = s.support().lowest_set();
-          total += cache_ != nullptr ? cache_->cost(s, t)
-                                     : synth::string_cost(s, t, *device_);
-        } else if (cache_ != nullptr) {
-          total += cache_->min_cost(s);
-        } else {
-          int cheapest = std::numeric_limits<int>::max();
-          for (std::size_t t = 0; t < n_; ++t)
-            if (s.letter(t) != pauli::Letter::I)
-              cheapest = std::min(cheapest, synth::string_cost(s, t, *device_));
-          total += cheapest;
-        }
+        total += cache_->min_cost(scratch_strings_[k]);
       }
       if (m == 1) return total;
       for (std::size_t i = 0; i < m; ++i)
@@ -298,9 +337,8 @@ class GammaObjective {
     return total - detail::greedy_chain_savings(table_.data(), m, used_.data());
   }
 
-  std::size_t n_ = 0;
   const synth::HardwareTarget* device_ = nullptr;
-  synth::StringCostCache* cache_ = nullptr;
+  std::optional<synth::StringCostCache> cache_;  // device targets only
   gf2::Matrix gamma_, inv_t_;
   std::vector<Block> blocks_;
   std::vector<Term> terms_;
@@ -314,9 +352,9 @@ class GammaObjective {
 
 /// Simulated-annealing search over block-diagonal Gamma on the incremental
 /// objective. Replays the exact Metropolis loop of opt::simulated_annealing
-/// with propose_gamma_move's draw order (block, src, dst with re-draws,
-/// uniform only on uphill candidates), so the returned state is
-/// bit-identical to anneal_gamma(n, blocks, fermionic_fast_cost, ...) --
+/// over propose_gamma_move (the same draw_gamma_move, uniform only on uphill
+/// candidates), so the returned state is bit-identical to that generic
+/// loop on the full-recompute cost (tests/support/cost_oracle.hpp) --
 /// only the per-candidate evaluation is O(delta) instead of O(full
 /// segment).
 [[nodiscard]] inline GammaState anneal_gamma_fast(
@@ -342,22 +380,11 @@ class GammaObjective {
                1.0 / static_cast<double>(options.steps));
   double t = options.t_initial;
   for (int step = 0; step < options.steps; ++step, t *= cool) {
-    // Mirror propose_gamma_move's draws exactly; a block of size < 2 is a
-    // null proposal (same state, delta 0, always accepted).
-    bool moved = false;
-    std::size_t src = 0, dst = 0;
-    if (!blocks.empty()) {
-      const auto& block = blocks[rng.index(blocks.size())];
-      if (block.size() >= 2) {
-        src = block[rng.index(block.size())];
-        dst = block[rng.index(block.size())];
-        while (dst == src) dst = block[rng.index(block.size())];
-        moved = true;
-      }
-    }
+    // A null proposal keeps the state: delta 0, always accepted.
+    const std::optional<GammaMove> move = draw_gamma_move(blocks, rng);
     double e = current_energy;
-    if (moved) {
-      objective.apply_move(src, dst);
+    if (move) {
+      objective.apply_move(move->src, move->dst);
       e = objective.energy();
     }
     const double delta = e - current_energy;
@@ -367,7 +394,7 @@ class GammaObjective {
         best_energy = e;
         best_gamma = objective.gamma();
       }
-    } else if (moved) {
+    } else if (move) {
       objective.undo_move();
     }
     if (options.reheat_interval > 0 && step > 0 &&
@@ -379,16 +406,6 @@ class GammaObjective {
     }
   }
   return {std::move(best_gamma), blocks};
-}
-
-/// Convenience overload building the objective in place.
-[[nodiscard]] inline GammaState anneal_gamma_fast(
-    std::size_t n, const std::vector<std::vector<std::size_t>>& blocks,
-    const std::vector<std::vector<synth::RotationBlock>>& term_blocks,
-    const synth::HardwareTarget* hw, synth::StringCostCache* cost_cache,
-    Rng& rng, const opt::SaOptions& options = {}) {
-  GammaObjective objective(n, term_blocks, hw, cost_cache);
-  return anneal_gamma_fast(n, blocks, objective, rng, options);
 }
 
 /// Baseline [9]: binary PSO over strictly-upper-triangular entries restricted

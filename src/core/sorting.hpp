@@ -21,10 +21,6 @@
 //    and relaxes the pushed DP eight lanes at a time (SIMD-dispatched);
 //    see detail::plan_term. Its results must equal, bit for bit, the
 //    reference formulation in tests/support/baseline_oracle.hpp.
-//  * fast_term_cost builds an m x m best-shared-target savings table once
-//    (word-parallel closed form on the default model) and runs the greedy
-//    chain as table lookups; the historical scalar loop survives as
-//    detail::fast_term_cost_reference (test oracle + speedup bench).
 #pragma once
 
 #include <algorithm>
@@ -515,193 +511,6 @@ struct TermPlan {
       for (auto& b : group[idx].ordered) out.push_back(std::move(b));
   }
   return out;
-}
-
-namespace detail {
-
-/// Best shared-target interface saving between two blocks under a device
-/// model: max over the shared support of the per-target device saving
-/// (scalar loop; the default CNOT model uses the closed-form word-parallel
-/// kernel in synth/cost_model.hpp instead). Returns -1 when no shared
-/// target exists.
-[[nodiscard]] inline int best_shared_device_saving(
-    const pauli::PauliString& p1, const pauli::PauliString& p2,
-    const synth::HardwareTarget& hw) {
-  int best = -1;
-  for (std::size_t t = 0; t < p1.num_qubits(); ++t) {
-    if (p1.letter(t) == pauli::Letter::I ||
-        p2.letter(t) == pauli::Letter::I)
-      continue;
-    best = std::max(best, synth::interface_saving(p1, t, p2, t, hw));
-  }
-  return best;
-}
-
-/// Greedy nearest-neighbor chain over a precomputed pair-savings table.
-/// table[i*m + j] is the best shared-target saving of j following i, with
-/// -1 marking pairs that cannot chain (identical letters or no shared
-/// target). Returns the total savings collected along the chain; `used` is
-/// caller scratch of at least m bytes. Selection order and tie-breaks match
-/// the historical nested-loop greedy exactly: candidates are scanned in
-/// ascending index with strict improvement, so the first candidate
-/// achieving the maximal saving wins, and when every candidate is
-/// unreachable the lowest-index unused block is taken with zero credit.
-[[nodiscard]] inline int greedy_chain_savings(const int* table, std::size_t m,
-                                              std::uint8_t* used) {
-  std::fill(used, used + m, std::uint8_t{0});
-  used[0] = 1;
-  std::size_t cur = 0;
-  int collected = 0;
-  for (std::size_t step = 1; step < m; ++step) {
-    int best = -1;
-    std::size_t best_next = 0;
-    const int* row = table + cur * m;
-    for (std::size_t cand = 0; cand < m; ++cand) {
-      if (used[cand]) continue;
-      if (row[cand] > best) {
-        best = row[cand];
-        best_next = cand;
-      }
-    }
-    if (best < 0) {
-      for (std::size_t cand = 0; cand < m; ++cand)
-        if (!used[cand]) {
-          best_next = cand;
-          best = 0;
-          break;
-        }
-    }
-    collected += std::max(best, 0);
-    used[best_next] = 1;
-    cur = best_next;
-  }
-  return collected;
-}
-
-/// The historical scalar fast_term_cost, preserved as the equivalence
-/// oracle for the table-driven rewrite (tests) and the old-vs-new speedup
-/// bench.
-[[nodiscard]] inline int fast_term_cost_reference(
-    const std::vector<synth::RotationBlock>& blocks,
-    const synth::HardwareTarget* hw = nullptr) {
-  if (blocks.empty()) return 0;
-  const synth::HardwareTarget* device =
-      hw != nullptr && !hw->is_all_to_all_cnot() ? hw : nullptr;
-  int total = 0;
-  for (const auto& b : blocks) {
-    if (device == nullptr) {
-      total += synth::string_cost(b.string);
-    } else if (!device->coupling.constrained()) {
-      total += synth::string_cost(b.string, b.target, *device);
-    } else {
-      int cheapest = std::numeric_limits<int>::max();
-      for (std::size_t t : valid_targets(b))
-        cheapest = std::min(cheapest,
-                            synth::string_cost(b.string, t, *device));
-      total += cheapest;
-    }
-  }
-  // Greedy chain: start at block 0 with its first target.
-  std::vector<bool> used(blocks.size(), false);
-  used[0] = true;
-  std::size_t cur = 0;
-  for (std::size_t step = 1; step < blocks.size(); ++step) {
-    int best = -1;
-    std::size_t best_next = 0;
-    for (std::size_t cand = 0; cand < blocks.size(); ++cand) {
-      if (used[cand] || blocks[cand].string.same_letters(blocks[cur].string))
-        continue;
-      for (std::size_t t1 : valid_targets(blocks[cur])) {
-        if (blocks[cand].string.letter(t1) == pauli::Letter::I) continue;
-        const int s =
-            device != nullptr
-                ? synth::interface_saving(blocks[cur].string, t1,
-                                          blocks[cand].string, t1, *device)
-                : synth::interface_saving(blocks[cur].string, t1,
-                                          blocks[cand].string, t1);
-        if (s > best) {
-          best = s;
-          best_next = cand;
-        }
-      }
-    }
-    if (best < 0) {
-      // No shareable target; take any unused block with zero saving.
-      for (std::size_t cand = 0; cand < blocks.size(); ++cand)
-        if (!used[cand]) {
-          best_next = cand;
-          best = 0;
-          break;
-        }
-    }
-    total -= std::max(best, 0);
-    used[best_next] = true;
-    cur = best_next;
-  }
-  return total;
-}
-
-}  // namespace detail
-
-/// Fast per-term cost used inside annealing loops: nearest-neighbor chain
-/// with per-block target freedom, no inter-term credit. With a non-default
-/// HardwareTarget this is the device-cost analogue (for constrained targets,
-/// string costs use the cheapest routing-aware target per block, memoized in
-/// `cost_cache` when one is supplied).
-///
-/// Hot-path shape: the m x m best-shared-target savings table is built first
-/// (the SIMD-dispatched fused support-count kernel of gf2/wordops.hpp on the
-/// default model -- see synth::best_shared_target_saving -- scalar
-/// per-target device savings otherwise) and the greedy chain then runs on
-/// table lookups alone; scratch lives in per-thread buffers, so steady-state
-/// calls allocate nothing. Bit-identical to detail::fast_term_cost_reference.
-[[nodiscard]] inline int fast_term_cost(
-    const std::vector<synth::RotationBlock>& blocks,
-    const synth::HardwareTarget* hw = nullptr,
-    synth::StringCostCache* cost_cache = nullptr) {
-  if (blocks.empty()) return 0;
-  const synth::HardwareTarget* device =
-      hw != nullptr && !hw->is_all_to_all_cnot() ? hw : nullptr;
-  const std::size_t m = blocks.size();
-  int total = 0;
-  for (const auto& b : blocks) {
-    if (device == nullptr) {
-      total += synth::string_cost(b.string);
-    } else if (!device->coupling.constrained()) {
-      total += cost_cache != nullptr
-                   ? cost_cache->cost(b.string, b.target)
-                   : synth::string_cost(b.string, b.target, *device);
-    } else if (cost_cache != nullptr) {
-      total += cost_cache->min_cost(b.string);
-    } else {
-      int cheapest = std::numeric_limits<int>::max();
-      for (std::size_t t : valid_targets(b))
-        cheapest = std::min(cheapest,
-                            synth::string_cost(b.string, t, *device));
-      total += cheapest;
-    }
-  }
-  if (m == 1) return total;
-  static thread_local std::vector<int> table;
-  static thread_local std::vector<std::uint8_t> used;
-  table.resize(m * m);
-  used.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      if (i == j ||
-          blocks[i].string.same_letters(blocks[j].string)) {
-        table[i * m + j] = -1;
-        continue;
-      }
-      table[i * m + j] =
-          device != nullptr
-              ? detail::best_shared_device_saving(blocks[i].string,
-                                                  blocks[j].string, *device)
-              : synth::best_shared_target_saving(blocks[i].string,
-                                                 blocks[j].string);
-    }
-  }
-  return total - detail::greedy_chain_savings(table.data(), m, used.data());
 }
 
 }  // namespace femto::core

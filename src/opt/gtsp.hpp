@@ -12,22 +12,17 @@
 // programming ("cluster optimization"), so the GA searches only the order
 // space. A greedy nearest-neighbor seed accelerates convergence.
 //
-// Hot-path layout: the solver core runs on a GtspDense -- the pairwise
-// weight materialized ONCE into a flat row-major matrix -- with every GA
-// inner loop (cluster DP, order crossover, mutation, seeding) working over
+// Hot-path layout: the solver runs on a GtspDense -- the pairwise weight
+// materialized ONCE into a flat row-major matrix -- with every GA inner loop
+// (cluster DP, order crossover, mutation, seeding) working over
 // preallocated flat arrays in a reusable GtspWorkspace; after the first
-// generation no inner iteration allocates or calls through a std::function.
-// The GtspInstance (std::function weight) entry points are kept as
-// compatibility adapters that materialize and delegate; they return
-// bit-identical results (same RNG stream, same tie-breaks, same floating
-// point sums) to the historical lazy solver, which survives as
-// detail::solve_gtsp_ga_reference for the equivalence tests and the
-// old-vs-new speedup bench.
+// generation no inner iteration allocates. Its results (RNG stream,
+// tie-breaks, floating-point sums) are bit-identical to the historical lazy
+// solver, which tests/support/gtsp_oracle.hpp keeps as the test oracle.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -37,14 +32,6 @@
 #include "obs/trace.hpp"
 
 namespace femto::opt {
-
-struct GtspInstance {
-  /// clusters[k] lists the global vertex ids of cluster k.
-  std::vector<std::vector<int>> clusters;
-  /// Pairwise weight (saving) between consecutive vertices; symmetric in our
-  /// use but not required.
-  std::function<double(int, int)> weight;
-};
 
 struct GtspSolution {
   std::vector<std::size_t> cluster_order;  // permutation of cluster indices
@@ -61,30 +48,17 @@ struct GtspOptions {
 };
 
 /// A GTSP instance with the pairwise weight materialized into a flat
-/// row-major matrix. Build once (the only place the weight function -- or
-/// any equivalent formula -- runs), then share READ-ONLY across solves and
+/// row-major matrix. Build once, then share READ-ONLY across solves and
 /// threads: the solver core never writes it. Intra-cluster pairs are never
 /// consulted by any solver path and stay 0.
 struct GtspDense {
+  /// clusters[k] lists the global vertex ids of cluster k.
   std::vector<std::vector<int>> clusters;
   std::size_t num_vertices = 0;
   std::vector<double> weights;  // row-major num_vertices x num_vertices
 
-  GtspDense() = default;
-
-  /// Materializes `inst.weight` over every cross-cluster vertex pair.
-  explicit GtspDense(const GtspInstance& inst) : clusters(inst.clusters) {
-    allocate();
-    for (std::size_t ci = 0; ci < clusters.size(); ++ci)
-      for (std::size_t cj = 0; cj < clusters.size(); ++cj) {
-        if (ci == cj) continue;
-        for (int a : clusters[ci])
-          for (int b : clusters[cj]) set_weight(a, b, inst.weight(a, b));
-      }
-  }
-
-  /// Sizes `weights` from the cluster table (direct-build path: callers fill
-  /// the cross-cluster entries themselves, e.g. core/sorting.hpp).
+  /// Sizes `weights` from the cluster table; callers then fill the
+  /// cross-cluster entries (e.g. core/sorting.hpp).
   void allocate() {
     num_vertices = 0;
     for (const auto& c : clusters)
@@ -118,48 +92,6 @@ struct GtspWorkspace {
 };
 
 namespace detail {
-
-/// Exact best vertex assignment for a fixed cluster order (layered DP).
-/// Lazy std::function reference path; the dense overloads below are the hot
-/// path.
-[[nodiscard]] inline GtspSolution cluster_dp(
-    const GtspInstance& inst, const std::vector<std::size_t>& order) {
-  GtspSolution sol;
-  sol.cluster_order = order;
-  const std::size_t m = order.size();
-  if (m == 0) return sol;
-  const auto& first = inst.clusters[order[0]];
-  std::vector<double> dp(first.size(), 0.0);
-  std::vector<std::vector<int>> back(m);
-  for (std::size_t k = 1; k < m; ++k) {
-    const auto& prev = inst.clusters[order[k - 1]];
-    const auto& cur = inst.clusters[order[k]];
-    std::vector<double> next(cur.size(),
-                             -std::numeric_limits<double>::infinity());
-    back[k].assign(cur.size(), 0);
-    for (std::size_t j = 0; j < cur.size(); ++j) {
-      for (std::size_t i = 0; i < prev.size(); ++i) {
-        const double v = dp[i] + inst.weight(prev[i], cur[j]);
-        if (v > next[j]) {
-          next[j] = v;
-          back[k][j] = static_cast<int>(i);
-        }
-      }
-    }
-    dp = std::move(next);
-  }
-  std::size_t best = 0;
-  for (std::size_t j = 1; j < dp.size(); ++j)
-    if (dp[j] > dp[best]) best = j;
-  sol.value = dp[best];
-  sol.vertex_choice.assign(m, 0);
-  std::size_t cursor = best;
-  for (std::size_t k = m; k-- > 0;) {
-    sol.vertex_choice[k] = inst.clusters[order[k]][cursor];
-    if (k > 0) cursor = static_cast<std::size_t>(back[k][cursor]);
-  }
-  return sol;
-}
 
 /// Value of the exact cluster DP for a fixed order, without back-pointer
 /// bookkeeping: what the GA evaluates every offspring with. Identical
@@ -255,32 +187,8 @@ namespace detail {
   return sol;
 }
 
-/// Order crossover (OX) for permutations (reference path).
-[[nodiscard]] inline std::vector<std::size_t> order_crossover(
-    const std::vector<std::size_t>& a, const std::vector<std::size_t>& b,
-    Rng& rng) {
-  const std::size_t m = a.size();
-  if (m < 2) return a;
-  std::size_t lo = rng.index(m), hi = rng.index(m);
-  if (lo > hi) std::swap(lo, hi);
-  std::vector<std::size_t> child(m, m);
-  std::vector<bool> taken(m, false);
-  for (std::size_t k = lo; k <= hi; ++k) {
-    child[k] = a[k];
-    taken[a[k]] = true;
-  }
-  std::size_t cursor = 0;
-  for (std::size_t k = 0; k < m; ++k) {
-    if (child[k] != m) continue;
-    while (taken[b[cursor]]) ++cursor;
-    child[k] = b[cursor];
-    taken[b[cursor]] = true;
-  }
-  return child;
-}
-
-/// Order crossover writing into a preallocated child row (same draws and
-/// same result as the reference order_crossover).
+/// Order crossover (OX) for permutations, writing into a preallocated child
+/// row.
 inline void order_crossover_into(const std::size_t* a, const std::size_t* b,
                                  std::size_t m, std::size_t* child,
                                  std::uint8_t* taken, Rng& rng) {
@@ -305,27 +213,8 @@ inline void order_crossover_into(const std::size_t* a, const std::size_t* b,
   }
 }
 
-inline void mutate(std::vector<std::size_t>& order, Rng& rng) {
-  const std::size_t m = order.size();
-  if (m < 2) return;
-  if (rng.bernoulli(0.5)) {
-    // Segment reversal (2-opt style).
-    std::size_t lo = rng.index(m), hi = rng.index(m);
-    if (lo > hi) std::swap(lo, hi);
-    std::reverse(order.begin() + static_cast<std::ptrdiff_t>(lo),
-                 order.begin() + static_cast<std::ptrdiff_t>(hi) + 1);
-  } else {
-    // Random relocation of one cluster.
-    const std::size_t from = rng.index(m);
-    const std::size_t to = rng.index(m);
-    const std::size_t v = order[from];
-    order.erase(order.begin() + static_cast<std::ptrdiff_t>(from));
-    order.insert(order.begin() + static_cast<std::ptrdiff_t>(to), v);
-  }
-}
-
-/// In-place mutation on a flat row; the relocation branch reproduces the
-/// reference's erase + insert pair with two shifts.
+/// In-place mutation on a flat row: segment reversal (2-opt style) or the
+/// relocation of one cluster, done as two shifts.
 inline void mutate_span(std::size_t* order, std::size_t m, Rng& rng) {
   if (m < 2) return;
   if (rng.bernoulli(0.5)) {
@@ -345,37 +234,8 @@ inline void mutate_span(std::size_t* order, std::size_t m, Rng& rng) {
 }
 
 /// Greedy nearest-neighbor seed: repeatedly appends the cluster whose best
-/// vertex pairing with the current tail is maximal (reference path).
-[[nodiscard]] inline std::vector<std::size_t> greedy_seed(
-    const GtspInstance& inst, std::size_t start, Rng&) {
-  const std::size_t m = inst.clusters.size();
-  std::vector<bool> used(m, false);
-  std::vector<std::size_t> order{start};
-  used[start] = true;
-  int tail = inst.clusters[start].front();
-  for (std::size_t step = 1; step < m; ++step) {
-    double best = -std::numeric_limits<double>::infinity();
-    std::size_t best_cluster = m;
-    int best_vertex = -1;
-    for (std::size_t c = 0; c < m; ++c) {
-      if (used[c]) continue;
-      for (int v : inst.clusters[c]) {
-        const double w = inst.weight(tail, v);
-        if (w > best) {
-          best = w;
-          best_cluster = c;
-          best_vertex = v;
-        }
-      }
-    }
-    order.push_back(best_cluster);
-    used[best_cluster] = true;
-    tail = best_vertex;
-  }
-  return order;
-}
-
-/// Dense greedy seed writing into a preallocated order row.
+/// vertex pairing with the current tail is maximal. Writes into a
+/// preallocated order row.
 inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
                              std::size_t* order, std::uint8_t* used) {
   const std::size_t m = inst.clusters.size();
@@ -404,88 +264,13 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   }
 }
 
-/// The historical lazy (std::function-per-edge) GA, preserved verbatim as
-/// the equivalence oracle for the dense solver: tests assert bit-identical
-/// GtspSolutions and bench_compile_hot reports the old-vs-new speedup.
-[[nodiscard]] inline GtspSolution solve_gtsp_ga_reference(
-    const GtspInstance& inst, Rng& rng, const GtspOptions& options = {}) {
-  const std::size_t m = inst.clusters.size();
-  GtspSolution best;
-  if (m == 0) return best;
-  for (const auto& c : inst.clusters) FEMTO_EXPECTS(!c.empty());
-  if (m == 1) return cluster_dp(inst, {0});
-
-  std::vector<std::vector<std::size_t>> pop;
-  const int pop_size = std::max(4, options.population);
-  for (std::size_t s = 0; s < std::min<std::size_t>(4, m); ++s)
-    pop.push_back(greedy_seed(inst, s * (m / std::max<std::size_t>(1, 4)) % m,
-                              rng));
-  std::vector<std::size_t> base(m);
-  for (std::size_t i = 0; i < m; ++i) base[i] = i;
-  while (pop.size() < static_cast<std::size_t>(pop_size)) {
-    rng.shuffle(base);
-    pop.push_back(base);
-  }
-
-  std::vector<double> fitness(pop.size());
-  const auto evaluate = [&](const std::vector<std::size_t>& order) {
-    return cluster_dp(inst, order).value;
-  };
-  for (std::size_t i = 0; i < pop.size(); ++i) fitness[i] = evaluate(pop[i]);
-
-  const auto tournament_pick = [&]() -> std::size_t {
-    std::size_t winner = rng.index(pop.size());
-    for (int t = 1; t < options.tournament; ++t) {
-      const std::size_t rival = rng.index(pop.size());
-      if (fitness[rival] > fitness[winner]) winner = rival;
-    }
-    return winner;
-  };
-
-  double best_fit = -std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> best_order;
-  int stagnant = 0;
-  for (int gen = 0;
-       gen < options.generations && stagnant < options.stagnation_limit;
-       ++gen) {
-    for (std::size_t i = 0; i < pop.size(); ++i) {
-      if (fitness[i] > best_fit) {
-        best_fit = fitness[i];
-        best_order = pop[i];
-        stagnant = -1;
-      }
-    }
-    ++stagnant;
-    std::vector<std::vector<std::size_t>> next;
-    std::vector<double> next_fit;
-    next.push_back(best_order);
-    next_fit.push_back(best_fit);
-    while (next.size() < pop.size()) {
-      const auto& pa = pop[tournament_pick()];
-      const auto& pb = pop[tournament_pick()];
-      auto child = order_crossover(pa, pb, rng);
-      if (rng.uniform() < options.mutation_rate) mutate(child, rng);
-      next_fit.push_back(evaluate(child));
-      next.push_back(std::move(child));
-    }
-    pop = std::move(next);
-    fitness = std::move(next_fit);
-  }
-  for (std::size_t i = 0; i < pop.size(); ++i)
-    if (fitness[i] > best_fit) {
-      best_fit = fitness[i];
-      best_order = pop[i];
-    }
-  return cluster_dp(inst, best_order);
-}
-
 }  // namespace detail
 
 /// Maximizes total consecutive-pair weight over cluster orders and vertex
 /// choices (path version of GTSP): the dense, allocation-free GA core.
 /// Draws the exact RNG stream of the historical lazy solver and applies
-/// identical tie-breaks, so results are bit-identical to
-/// detail::solve_gtsp_ga_reference on the materialized instance.
+/// identical tie-breaks, so results are bit-identical to the oracle in
+/// tests/support/gtsp_oracle.hpp on the same weights.
 [[nodiscard]] inline GtspSolution solve_gtsp_ga(
     const GtspDense& inst, Rng& rng, const GtspOptions& options = {},
     GtspWorkspace* workspace = nullptr) {
@@ -589,45 +374,32 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   return detail::cluster_dp(inst, ws.best_order.data(), m, ws);
 }
 
-/// Compatibility adapter: materializes the weight function once, then runs
-/// the dense core. Bit-identical to the historical lazy solver.
-[[nodiscard]] inline GtspSolution solve_gtsp_ga(const GtspInstance& inst,
-                                                Rng& rng,
-                                                const GtspOptions& options = {}) {
-  if (inst.clusters.empty()) return {};
-  const GtspDense dense(inst);
-  return solve_gtsp_ga(dense, rng, options);
+/// Pure greedy baseline: the GA's first seed alone, with its exact vertex
+/// choice (an ablation baseline of bench_solvers and test_opt).
+[[nodiscard]] inline GtspSolution solve_gtsp_greedy(const GtspDense& inst) {
+  const std::size_t m = inst.clusters.size();
+  if (m == 0) return {};
+  GtspWorkspace ws;
+  ws.used.resize(m);
+  std::vector<std::size_t> order(m);
+  detail::greedy_seed_into(inst, 0, order.data(), ws.used.data());
+  return detail::cluster_dp(inst, order.data(), m, ws);
 }
 
-/// Pure greedy baseline (used by ablation bench E3).
-[[nodiscard]] inline GtspSolution solve_gtsp_greedy(const GtspInstance& inst,
-                                                    Rng& rng) {
-  if (inst.clusters.empty()) return {};
-  return detail::cluster_dp(inst, detail::greedy_seed(inst, 0, rng));
-}
-
-/// Random-order baseline (ablation lower bar): dense evaluation, one matrix
-/// build for all tries.
-[[nodiscard]] inline GtspSolution solve_gtsp_random(const GtspInstance& inst,
+/// Random-order baseline (ablation lower bar): the best of `tries` shuffled
+/// cluster orders, each with its exact vertex choice.
+[[nodiscard]] inline GtspSolution solve_gtsp_random(const GtspDense& inst,
                                                     Rng& rng, int tries = 50) {
   const std::size_t m = inst.clusters.size();
+  if (m == 0) return {};
   GtspSolution best;
   best.value = -std::numeric_limits<double>::infinity();
-  if (m == 0) {
-    // Preserve the historical shape: tries shuffles of an empty order.
-    for (int t = 0; t < tries; ++t) {
-      GtspSolution sol;
-      if (sol.value > best.value) best = std::move(sol);
-    }
-    return best;
-  }
-  const GtspDense dense(inst);
   GtspWorkspace ws;
   std::vector<std::size_t> order(m);
-  for (std::size_t i = 0; i < m; ++i) order[i] = i;
+  std::iota(order.begin(), order.end(), std::size_t{0});
   for (int t = 0; t < tries; ++t) {
     rng.shuffle(order);
-    GtspSolution sol = detail::cluster_dp(dense, order.data(), m, ws);
+    GtspSolution sol = detail::cluster_dp(inst, order.data(), m, ws);
     if (sol.value > best.value) best = std::move(sol);
   }
   return best;

@@ -290,41 +290,29 @@ namespace detail {
   return std::min(cnot_form, detail::sequence_cost_form(seq, hw, true));
 }
 
-/// Per-thread memo of device string costs. string_cost(p, t, hw) depends
-/// only on the SUPPORT of p (weights, xx_partner, and routing distances are
-/// all letter-blind), so the memo key is (support word, target); the min
-/// over all valid targets of a block is likewise support-only and cached
-/// under a sentinel target slot. Exact memoization of a pure function --
-/// results are bit-identical with or without the cache. Only engaged for
-/// single-word supports (num_qubits <= 58, far above any molecular
-/// instance); wider strings fall through to the direct computation.
+/// Memo of the cheapest device string cost of a block, min over its valid
+/// targets (the support sites) of string_cost(p, t, hw). string_cost
+/// depends only on the SUPPORT of p (weights, xx_partner, and routing
+/// distances are all letter-blind), so the memo key is the support word.
+/// Exact memoization of a pure function -- results are bit-identical with
+/// or without the cache. Only engaged for single-word supports
+/// (num_qubits <= 64, far above any molecular instance); wider strings fall
+/// through to the direct computation.
 ///
-/// One cache serves exactly one HardwareTarget; it is NOT thread-safe and is
-/// meant to live on a single compile's stack (core/compiler.hpp creates one
-/// per stage_transform call, shared between the Gamma objective and
-/// fast_term_cost).
+/// One cache serves exactly one HardwareTarget, which must outlive it (the
+/// cache keeps a pointer, so a temporary target is refused). It is NOT
+/// thread-safe: core::GammaObjective owns one per objective, for
+/// connectivity-constrained targets only.
 class StringCostCache {
  public:
   explicit StringCostCache(const HardwareTarget& hw) : hw_(&hw) {}
+  explicit StringCostCache(const HardwareTarget&&) = delete;
 
-  [[nodiscard]] const HardwareTarget& target() const { return *hw_; }
-
-  /// Memoized string_cost(p, target, hw).
-  [[nodiscard]] int cost(const pauli::PauliString& p, std::size_t target) {
-    if (p.num_qubits() > kMaxQubits) return string_cost(p, target, *hw_);
-    const std::uint64_t key =
-        (support_word(p) << 6) | static_cast<std::uint64_t>(target);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    const int c = string_cost(p, target, *hw_);
-    memo_.emplace(key, c);
-    return c;
-  }
-
-  /// Memoized min over all valid targets (the support sites) of cost(p, t).
+  /// Memoized min over all valid targets (the support sites) of
+  /// string_cost(p, t, hw).
   [[nodiscard]] int min_cost(const pauli::PauliString& p) {
-    if (p.num_qubits() > kMaxQubits) return min_cost_direct(p);
-    const std::uint64_t key = (support_word(p) << 6) | kMinSlot;
+    if (p.num_qubits() > 64) return min_cost_direct(p);
+    const std::uint64_t key = p.x().word_data()[0] | p.z().word_data()[0];
     const auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
     const int c = min_cost_direct(p);
@@ -333,15 +321,6 @@ class StringCostCache {
   }
 
  private:
-  // Targets index qubits < kMaxQubits < kMinSlot, so the sentinel never
-  // collides with a real target.
-  static constexpr std::size_t kMaxQubits = 58;
-  static constexpr std::uint64_t kMinSlot = 63;
-
-  [[nodiscard]] static std::uint64_t support_word(const pauli::PauliString& p) {
-    return p.x().word_data()[0] | p.z().word_data()[0];
-  }
-
   [[nodiscard]] int min_cost_direct(const pauli::PauliString& p) const {
     int cheapest = std::numeric_limits<int>::max();
     for (std::size_t q = 0; q < p.num_qubits(); ++q)

@@ -1,19 +1,23 @@
-// Property tests for the compile hot-path rewrites: every fast path must be
+// Property tests for the compile hot paths: every fast path must be
 // BIT-IDENTICAL to its reference implementation --
 //  * word-parallel interface_saving / best_shared_target_saving vs the
 //    scalar per-site omega sums,
-//  * table-driven fast_term_cost vs detail::fast_term_cost_reference,
-//  * incremental GammaObjective apply/undo vs full recomputation
-//    (fermionic_fast_cost) over random elementary-move sequences,
+//  * GammaObjective vs the full recomputation of
+//    tests/support/cost_oracle.hpp: apply/undo over random elementary-move
+//    sequences, and reset() to random GT candidates (unit upper-triangular
+//    times permutation),
 //  * anneal_gamma_fast vs the generic simulated-annealing driver on the
 //    same RNG stream,
-//  * the dense GTSP GA vs the preserved lazy reference solver,
+//  * the dense GTSP GA vs the lazy solver of tests/support/gtsp_oracle.hpp,
+//    on real-valued weights and on tie-prone integer weights at every SIMD
+//    dispatch level,
 //  * the pushed 8-lane Held-Karp DP, sort_baseline and the symplectic exact
 //    GT objective vs the reference formulation in
 //    tests/support/baseline_oracle.hpp, at every SIMD dispatch level.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "chem/integrals.hpp"
@@ -23,6 +27,8 @@
 #include "common/simd.hpp"
 #include "core/compiler.hpp"
 #include "support/baseline_oracle.hpp"
+#include "support/cost_oracle.hpp"
+#include "support/gtsp_oracle.hpp"
 #include "support/level_session.hpp"
 #include "transform/linear_encoding.hpp"
 #include "vqe/uccsd.hpp"
@@ -123,29 +129,13 @@ TEST(InterfaceSaving, DeviceFormsMatchScalarReference) {
   }
 }
 
-TEST(FastTermCost, TableDrivenMatchesReferenceOnAllTargets) {
-  Rng rng(103);
-  for (int rep = 0; rep < 150; ++rep) {
-    const std::size_t n = 3 + rng.index(12);
-    const std::size_t m = 1 + rng.index(9);
-    const auto blocks = random_blocks(n, m, rng);
-    const synth::HardwareTarget targets[3] = {
-        synth::HardwareTarget::all_to_all_cnot(),
-        synth::HardwareTarget::trapped_ion_xx(),
-        synth::HardwareTarget::linear_nn(n)};
-    // hw == nullptr (the annealing default) and all three built-ins.
-    EXPECT_EQ(core::fast_term_cost(blocks),
-              core::detail::fast_term_cost_reference(blocks));
-    for (const auto& hw : targets) {
-      const int reference = core::detail::fast_term_cost_reference(blocks, &hw);
-      EXPECT_EQ(core::fast_term_cost(blocks, &hw), reference);
-      synth::StringCostCache cache(hw);
-      EXPECT_EQ(core::fast_term_cost(blocks, &hw, &cache), reference);
-      // Cache hits must return the same values.
-      EXPECT_EQ(core::fast_term_cost(blocks, &hw, &cache), reference);
-    }
-  }
-}
+// The cache keeps a pointer to its target, so a temporary one would dangle.
+static_assert(std::is_constructible_v<synth::StringCostCache,
+                                      const synth::HardwareTarget&>);
+static_assert(
+    !std::is_constructible_v<synth::StringCostCache, synth::HardwareTarget>);
+static_assert(!std::is_constructible_v<synth::StringCostCache,
+                                       const synth::HardwareTarget&&>);
 
 TEST(StringCostCache, MemoizesExactly) {
   Rng rng(104);
@@ -159,10 +149,7 @@ TEST(StringCostCache, MemoizesExactly) {
       int cheapest = std::numeric_limits<int>::max();
       for (std::size_t t = 0; t < 10; ++t) {
         if (p.letter(t) == Letter::I) continue;
-        const int direct = synth::string_cost(p, t, hw);
-        EXPECT_EQ(cache.cost(p, t), direct);
-        EXPECT_EQ(cache.cost(p, t), direct);  // hit path
-        cheapest = std::min(cheapest, direct);
+        cheapest = std::min(cheapest, synth::string_cost(p, t, hw));
       }
       EXPECT_EQ(cache.min_cost(p), cheapest);
     }
@@ -209,15 +196,11 @@ TEST(GammaObjective, IncrementalMatchesFullRecomputeUnderRandomMoves) {
 
     const synth::HardwareTarget* hws[2] = {nullptr, &linear8};
     for (const synth::HardwareTarget* hw : hws) {
-      const synth::HardwareTarget cache_target =
-          hw != nullptr ? *hw : synth::HardwareTarget::all_to_all_cnot();
-      synth::StringCostCache cache(cache_target);
-      core::GammaObjective objective(n, term_blocks, hw,
-                                     hw != nullptr ? &cache : nullptr);
+      core::GammaObjective objective(n, term_blocks, hw);
       objective.reset(gf2::Matrix::identity(n));
       gf2::Matrix gamma = gf2::Matrix::identity(n);
       EXPECT_EQ(objective.energy(),
-                core::fermionic_fast_cost(gamma, term_blocks, hw));
+                oracle::fermionic_fast_cost(gamma, term_blocks, hw));
       for (int move = 0; move < 60; ++move) {
         const auto& block = blocks[movable[rng.index(movable.size())]];
         const std::size_t src = block[rng.index(block.size())];
@@ -232,7 +215,7 @@ TEST(GammaObjective, IncrementalMatchesFullRecomputeUnderRandomMoves) {
         }
         ASSERT_TRUE(objective.gamma() == gamma);
         ASSERT_EQ(objective.energy(),
-                  core::fermionic_fast_cost(gamma, term_blocks, hw))
+                  oracle::fermionic_fast_cost(gamma, term_blocks, hw))
             << "rep=" << rep << " move=" << move
             << " device=" << (hw != nullptr);
         // The maintained inverse-transpose must stay exact.
@@ -241,6 +224,42 @@ TEST(GammaObjective, IncrementalMatchesFullRecomputeUnderRandomMoves) {
       }
     }
   }
+}
+
+TEST(GammaObjective, ResetMatchesFullRecomputeOnGtCandidates) {
+  // The GT baselines reset one objective to every candidate they score: a
+  // random unit upper-triangular matrix times a random permutation over all
+  // qubits. Each reset must equal the full recomputation, on the default
+  // model and on a routed device.
+  Rng rng(121);
+  int resets = 0;
+  for (int rep = 0; rep < 40; ++rep) {
+    const std::size_t n = 6 + rng.index(7);
+    const auto terms = random_terms(n, 3 + rng.index(6), rng);
+    const auto term_blocks = jw_term_blocks(n, terms);
+    const synth::HardwareTarget linear = synth::HardwareTarget::linear_nn(n);
+    const synth::HardwareTarget* hws[2] = {nullptr, &linear};
+    for (const synth::HardwareTarget* hw : hws) {
+      core::GammaObjective objective(n, term_blocks, hw);
+      for (int k = 0; k < 30; ++k) {
+        std::vector<std::size_t> perm(n);
+        for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+        rng.shuffle(perm);
+        const gf2::Matrix gamma =
+            gf2::Matrix::random_upper_triangular(n, rng).multiply(
+                gf2::Matrix::permutation(perm));
+        objective.reset(gamma);
+        ++resets;
+        ASSERT_TRUE(objective.gamma() == gamma);
+        ASSERT_EQ(objective.energy(),
+                  oracle::fermionic_fast_cost(gamma, term_blocks, hw))
+            << "rep=" << rep << " k=" << k << " device=" << (hw != nullptr);
+        ASSERT_TRUE(objective.inverse_transpose() ==
+                    gamma.inverse()->transpose());
+      }
+    }
+  }
+  EXPECT_EQ(resets, 2400);
 }
 
 TEST(AnnealGammaFast, BitIdenticalToGenericSimulatedAnnealing) {
@@ -253,16 +272,17 @@ TEST(AnnealGammaFast, BitIdenticalToGenericSimulatedAnnealing) {
     const opt::SaOptions options{2.0, 0.05, 300, rep % 2 == 0 ? 0 : 50};
 
     Rng generic_rng(500 + rep);
-    const core::GammaState generic = core::anneal_gamma(
+    const core::GammaState generic = oracle::anneal_gamma(
         n, blocks,
         [&](const gf2::Matrix& g) {
-          return core::fermionic_fast_cost(g, term_blocks);
+          return oracle::fermionic_fast_cost(g, term_blocks);
         },
         generic_rng, options);
 
     Rng fast_rng(500 + rep);
-    const core::GammaState fast = core::anneal_gamma_fast(
-        n, blocks, term_blocks, nullptr, nullptr, fast_rng, options);
+    core::GammaObjective objective(n, term_blocks);
+    const core::GammaState fast =
+        core::anneal_gamma_fast(n, blocks, objective, fast_rng, options);
 
     EXPECT_TRUE(fast.gamma == generic.gamma) << "rep " << rep;
     EXPECT_EQ(fast.blocks, generic.blocks);
@@ -272,9 +292,9 @@ TEST(AnnealGammaFast, BitIdenticalToGenericSimulatedAnnealing) {
 }
 
 /// Random GTSP instance with a pure tabulated weight.
-opt::GtspInstance random_gtsp(std::size_t clusters, std::size_t max_size,
-                              Rng& rng, std::vector<double>& table) {
-  opt::GtspInstance inst;
+oracle::GtspInstance random_gtsp(std::size_t clusters, std::size_t max_size,
+                                 Rng& rng, std::vector<double>& table) {
+  oracle::GtspInstance inst;
   int next = 0;
   for (std::size_t c = 0; c < clusters; ++c) {
     std::vector<int> cluster;
@@ -305,13 +325,57 @@ TEST(DenseGtsp, GaBitIdenticalToLazyReference) {
                                    .stagnation_limit = 25};
     Rng ref_rng(700 + rep), dense_rng(700 + rep);
     const opt::GtspSolution reference =
-        opt::detail::solve_gtsp_ga_reference(inst, ref_rng, options);
+        oracle::solve_gtsp_ga_reference(inst, ref_rng, options);
     const opt::GtspSolution dense =
-        opt::solve_gtsp_ga(inst, dense_rng, options);
+        opt::solve_gtsp_ga(oracle::materialize(inst), dense_rng, options);
     EXPECT_EQ(dense.cluster_order, reference.cluster_order) << rep;
     EXPECT_EQ(dense.vertex_choice, reference.vertex_choice) << rep;
     EXPECT_EQ(dense.value, reference.value) << rep;
     EXPECT_EQ(ref_rng.index(1u << 30), dense_rng.index(1u << 30)) << rep;
+  }
+}
+
+TEST(DenseGtsp, GaBitIdenticalToLazyReferenceOnIntegerTies) {
+  // Production weights are integers (an interface saving plus an integer
+  // routing bonus), so DP maxima and tournament fitnesses tie often. Shaped
+  // like sort_advanced's solves: 1..40 clusters of 1..7 vertices, weights
+  // 0..4, default options; every SIMD level must reproduce the lazy
+  // solver's order, choice, value and RNG position.
+  const LevelSession session;
+  Rng build_rng(123);
+  for (int rep = 0; rep < 40; ++rep) {
+    const std::size_t clusters = 1 + static_cast<std::size_t>(rep);
+    oracle::GtspInstance inst;
+    int next = 0;
+    for (std::size_t c = 0; c < clusters; ++c) {
+      std::vector<int> cluster;
+      const std::size_t size = 1 + build_rng.index(7);
+      for (std::size_t v = 0; v < size; ++v) cluster.push_back(next++);
+      inst.clusters.push_back(std::move(cluster));
+    }
+    const std::size_t stride = static_cast<std::size_t>(next);
+    std::vector<double> table(stride * stride);
+    for (double& v : table) v = static_cast<double>(build_rng.index(5));
+    inst.weight = [&table, stride](int a, int b) {
+      return table[static_cast<std::size_t>(a) * stride +
+                   static_cast<std::size_t>(b)];
+    };
+    Rng ref_rng(900 + rep);
+    const opt::GtspSolution reference =
+        oracle::solve_gtsp_ga_reference(inst, ref_rng);
+    const std::size_t ref_next = ref_rng.index(1u << 30);
+    const opt::GtspDense dense = oracle::materialize(inst);
+    for (const simd::Level lvl : session.levels()) {
+      ASSERT_EQ(simd::set_level(lvl), lvl);
+      Rng dense_rng(900 + rep);
+      const opt::GtspSolution got = opt::solve_gtsp_ga(dense, dense_rng);
+      const std::string where =
+          "rep " + std::to_string(rep) + " " + simd::to_string(lvl);
+      EXPECT_EQ(got.cluster_order, reference.cluster_order) << where;
+      EXPECT_EQ(got.vertex_choice, reference.vertex_choice) << where;
+      EXPECT_EQ(got.value, reference.value) << where;
+      EXPECT_EQ(dense_rng.index(1u << 30), ref_next) << where;
+    }
   }
 }
 

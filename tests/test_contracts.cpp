@@ -5,6 +5,7 @@
 
 #include "circuit/peephole.hpp"
 #include "common/rng.hpp"
+#include "core/gamma_search.hpp"
 #include "core/sorting.hpp"
 #include "gf2/bitvec.hpp"
 #include "gf2/matrix.hpp"
@@ -66,6 +67,20 @@ TEST(Contracts, BaselineSortNeedsASharedSupportQubit) {
   b.target = 2;
   EXPECT_DEATH((void)core::sort_baseline({{a, b}}),
                "the blocks of a term share a support qubit");
+}
+
+TEST(Contracts, GammaObjectiveTakesOnlyAConstrainedDevice) {
+  // An unconstrained target is scored by the default model (a null target);
+  // the objective refuses one instead of keeping a device path for it.
+  const std::vector<std::vector<synth::RotationBlock>> no_terms;
+  const synth::HardwareTarget xx = synth::HardwareTarget::trapped_ion_xx();
+  const synth::HardwareTarget cnot = synth::HardwareTarget::all_to_all_cnot();
+  EXPECT_DEATH(core::GammaObjective(4, no_terms, &xx), "precondition");
+  EXPECT_DEATH(core::GammaObjective(4, no_terms, &cnot), "precondition");
+  const synth::HardwareTarget chain = synth::HardwareTarget::linear_nn(4);
+  core::GammaObjective objective(4, no_terms, &chain);
+  objective.reset(gf2::Matrix::identity(4));
+  EXPECT_EQ(objective.energy(), 0.0);
 }
 
 TEST(Contracts, StateVectorHermitianExpOnly) {

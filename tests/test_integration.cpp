@@ -19,6 +19,7 @@
 #include "encoding/hybrid_plan.hpp"
 #include "opt/gtsp.hpp"
 #include "sim/statevector.hpp"
+#include "support/gtsp_oracle.hpp"
 #include "transform/linear_encoding.hpp"
 #include "vqe/driver.hpp"
 #include "vqe/uccsd.hpp"
@@ -108,7 +109,7 @@ TEST(GtspBruteForce, GaMatchesOptimumOnSmallInstances) {
   Rng build_rng(21);
   for (int rep = 0; rep < 6; ++rep) {
     // 5 clusters x 2 vertices: brute force = 5! orders x 2^5 choices.
-    opt::GtspInstance inst;
+    oracle::GtspInstance inst;
     int next = 0;
     for (int c = 0; c < 5; ++c) inst.clusters.push_back({next++, next++});
     std::vector<double> w(100);
@@ -134,7 +135,7 @@ TEST(GtspBruteForce, GaMatchesOptimumOnSmallInstances) {
       }
     } while (std::next_permutation(perm.begin(), perm.end()));
     Rng rng(17 + rep);
-    const auto sol = opt::solve_gtsp_ga(inst, rng);
+    const auto sol = opt::solve_gtsp_ga(oracle::materialize(inst), rng);
     EXPECT_NEAR(sol.value, best, 1e-9) << "rep " << rep;
   }
 }

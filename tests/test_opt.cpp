@@ -1,4 +1,6 @@
 // Tests for the solver library: simulated annealing, GTSP GA, binary PSO.
+// GTSP instances are written as weight lambdas and materialized into the
+// dense form the solvers take (tests/support/gtsp_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,9 +9,13 @@
 #include "opt/binary_pso.hpp"
 #include "opt/gtsp.hpp"
 #include "opt/simulated_annealing.hpp"
+#include "support/gtsp_oracle.hpp"
 
 namespace femto::opt {
 namespace {
+
+using oracle::GtspInstance;
+using oracle::materialize;
 
 TEST(SimulatedAnnealing, FindsMinimumOfRuggedFunction) {
   // Integer lattice with many local minima: f(x) = (x-17)^2/10 + 3 sin(x).
@@ -78,7 +84,7 @@ TEST(Gtsp, DpIsExactForFixedOrder) {
     return 1.0;
   };
   Rng rng(3);
-  const GtspSolution sol = solve_gtsp_ga(inst, rng);
+  const GtspSolution sol = solve_gtsp_ga(materialize(inst), rng);
   EXPECT_NEAR(sol.value, 7.0, 1e-12);
   ASSERT_EQ(sol.vertex_choice.size(), 2u);
 }
@@ -86,11 +92,12 @@ TEST(Gtsp, DpIsExactForFixedOrder) {
 TEST(Gtsp, GaRecoversPlantedTour) {
   Rng rng(5);
   GtspInstance inst = planted_instance(8, 3);
-  const GtspSolution sol = solve_gtsp_ga(inst, rng, {.population = 32,
-                                                     .generations = 300,
-                                                     .tournament = 3,
-                                                     .mutation_rate = 0.4,
-                                                     .stagnation_limit = 120});
+  const GtspSolution sol =
+      solve_gtsp_ga(materialize(inst), rng, {.population = 32,
+                                             .generations = 300,
+                                             .tournament = 3,
+                                             .mutation_rate = 0.4,
+                                             .stagnation_limit = 120});
   // Planted tour value: 7 consecutive edges x 10.
   EXPECT_NEAR(sol.value, 70.0, 1e-9);
 }
@@ -113,10 +120,11 @@ TEST(Gtsp, GaBeatsOrMatchesRandomAndGreedy) {
                        static_cast<unsigned>(a + b) * 83492791u;
     return static_cast<double>(h % 1000) / 100.0;
   };
-  Rng r1(11), r2(11), r3(11);
-  const double ga = solve_gtsp_ga(inst, r1).value;
-  const double greedy = solve_gtsp_greedy(inst, r2).value;
-  const double random = solve_gtsp_random(inst, r3, 30).value;
+  const GtspDense dense = materialize(inst);
+  Rng r1(11), r3(11);
+  const double ga = solve_gtsp_ga(dense, r1).value;
+  const double greedy = solve_gtsp_greedy(dense).value;
+  const double random = solve_gtsp_random(dense, r3, 30).value;
   EXPECT_GE(ga, greedy - 1e-9);
   EXPECT_GE(ga, random - 1e-9);
 }
@@ -124,10 +132,10 @@ TEST(Gtsp, GaBeatsOrMatchesRandomAndGreedy) {
 TEST(Gtsp, SingleClusterAndEmpty) {
   GtspInstance inst;
   Rng rng(9);
-  EXPECT_EQ(solve_gtsp_ga(inst, rng).cluster_order.size(), 0u);
+  EXPECT_EQ(solve_gtsp_ga(materialize(inst), rng).cluster_order.size(), 0u);
   inst.clusters = {{4, 5, 6}};
   inst.weight = [](int, int) { return 1.0; };
-  const GtspSolution sol = solve_gtsp_ga(inst, rng);
+  const GtspSolution sol = solve_gtsp_ga(materialize(inst), rng);
   ASSERT_EQ(sol.vertex_choice.size(), 1u);
   EXPECT_NEAR(sol.value, 0.0, 1e-12);
 }

@@ -59,17 +59,12 @@ ABS_FLOORS = {
     # (the reference machine does 200-8000 verified circuits/s; the floor
     # leaves ~8x headroom on the slowest section).
     "verify": {"verified_per_s": 25.0},
-    # Compile hot-path rewrites (bench_compile_hot): old-vs-new ratios
-    # measured in the same process, so they hold on any machine. The
-    # reference machine does ~5.5x / ~10x; the floors keep headroom while
-    # guaranteeing the incremental Gamma evaluation stays >= 3x over full
-    # recompute and the dense GTSP GA >= 2x over the lazy solver.
-    # simd_wordops_speedup is forced-portable vs best dispatch level in the
-    # same process (reference machine ~9x with AVX-512; AVX2-only hosts
-    # still clear ~5x because the vectorized popcount replaces a per-word
-    # libcall); the floor only requires that SIMD dispatch keeps paying.
-    "compile_hot": {"gamma_eval_speedup": 3.0, "gtsp_ga_speedup": 2.0,
-                    "simd_wordops_speedup": 1.5},
+    # Compile hot-path word ops (bench_compile_hot): simd_wordops_speedup
+    # is forced-portable vs best dispatch level in the same process
+    # (reference machine ~9x with AVX-512; AVX2-only hosts still clear ~5x
+    # because the vectorized popcount replaces a per-word libcall); the
+    # floor only requires that SIMD dispatch keeps paying.
+    "compile_hot": {"simd_wordops_speedup": 1.5},
     # Serving compiled segments from the mmap'd compilation database must
     # stay at memory speed (binary search + circuit decode). The reference
     # machine does >1M lookups/s; the floor leaves ~20x headroom.
