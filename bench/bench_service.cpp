@@ -168,10 +168,14 @@ std::optional<service::CompileClient> make_client(
   return service::CompileClient(std::move(*conn));
 }
 
-double stats_field(service::CompileClient& client, const char* key) {
-  const auto stats = client.stats();
-  if (!stats.has_value()) return -1.0;
-  const service::json::Value* v = stats->find(key);
+/// A counter of the daemon's metrics registry; -1 when the op fails or the
+/// counter is missing.
+double metrics_counter(service::CompileClient& client, const char* name) {
+  const auto metrics = client.metrics();
+  const service::json::Value* counters =
+      metrics.has_value() ? metrics->find("counters") : nullptr;
+  const service::json::Value* v =
+      counters != nullptr ? counters->find(name) : nullptr;
   return v != nullptr && v->is_number() ? v->as_double() : -1.0;
 }
 
@@ -327,11 +331,13 @@ int main(int argc, char** argv) {
       service::protocol::canonical_response(
           reference_pipeline.compile(hammer_request));
   {
-    auto stats_client = make_client(daemon.socket_path);
+    auto metrics_client = make_client(daemon.socket_path);
     auto blocker_conn = service::wait_for_server(daemon.socket_path, 10000);
-    if (stats_client.has_value() && blocker_conn.has_value()) {
-      const double submitted_before = stats_field(*stats_client, "submitted");
-      const double coalesced_before = stats_field(*stats_client, "coalesced");
+    if (metrics_client.has_value() && blocker_conn.has_value()) {
+      const double submitted_before =
+          metrics_counter(*metrics_client, "service.submitted");
+      const double coalesced_before =
+          metrics_counter(*metrics_client, "service.coalesced");
       // Occupy the scheduler with a long, differently-seeded request...
       core::CompileRequest blocker_request = requests[0];
       blocker_request.restarts = 100000;
@@ -367,7 +373,7 @@ int main(int argc, char** argv) {
       // sit behind it in the queue, so they must have coalesced by then).
       const auto poll_deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (stats_field(*stats_client, "submitted") <
+      while (metrics_counter(*metrics_client, "service.submitted") <
                  submitted_before + 1.0 + static_cast<double>(kHammers) &&
              std::chrono::steady_clock::now() < poll_deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -387,7 +393,8 @@ int main(int argc, char** argv) {
       }
       for (std::thread& t : hammers) t.join();
       coalesced_delta =
-          stats_field(*stats_client, "coalesced") - coalesced_before;
+          metrics_counter(*metrics_client, "service.coalesced") -
+          coalesced_before;
       bool all_equal = hammer_errors.load() == 0;
       for (const std::string& c : hammered)
         all_equal = all_equal && c == hammer_reference;

@@ -1,12 +1,10 @@
 // Unified process-global metrics registry: counters, gauges, and
 // fixed-bucket latency histograms with p50/p95/p99.
 //
-// This is the one place runtime counters live. The ad-hoc stat struct that
-// predates it (service::ServiceStats) survives as a per-instance view for
-// its existing tests, but every increment is mirrored here under a STABLE
-// metric name, and the femtod `metrics` wire op exports this registry --
-// so dashboards and scripts can rely on the names below never changing
-// meaning:
+// This is the one place runtime counters live: in process they are read
+// through registry(), over the wire through the femtod `metrics` op, which
+// exports this registry. Dashboards and scripts can rely on the names below
+// never changing meaning:
 //
 //   counters   cache.l1_hits / cache.misses / cache.l2_hits /
 //              cache.evictions        service plan-store outcomes: a memory

@@ -34,6 +34,12 @@
 
 namespace femto::service {
 
+/// Longest reply line a client will buffer before treating the peer as
+/// misbehaving (recv_line fails and the connection closes): the client side
+/// of the daemon's kMaxLineBytes guard, sized for replies that carry
+/// circuits.
+inline constexpr std::size_t kMaxReplyBytes = std::size_t{256} << 20;
+
 /// A line-buffered client connection to a femtod socket.
 class ClientConnection {
  public:
@@ -43,22 +49,15 @@ class ClientConnection {
   ClientConnection& operator=(const ClientConnection&) = delete;
   ClientConnection(ClientConnection&& other) noexcept
       : fd_(std::exchange(other.fd_, -1)),
-        buffer_(std::move(other.buffer_)),
-        max_line_bytes_(other.max_line_bytes_) {}
+        buffer_(std::move(other.buffer_)) {}
   ClientConnection& operator=(ClientConnection&& other) noexcept {
     if (this != &other) {
       close();
       fd_ = std::exchange(other.fd_, -1);
       buffer_ = std::move(other.buffer_);
-      max_line_bytes_ = other.max_line_bytes_;
     }
     return *this;
   }
-
-  /// Longest reply line the client will buffer before treating the peer as
-  /// misbehaving (recv_line fails and the connection closes). Mirrors the
-  /// daemon-side SocketServerOptions.max_line_bytes guard.
-  void set_max_line_bytes(std::size_t n) { max_line_bytes_ = n; }
 
   /// Empty string on success, diagnostic otherwise.
   [[nodiscard]] std::string connect(const std::string& socket_path) {
@@ -130,11 +129,10 @@ class ClientConnection {
       const ssize_t n = net::recv_retry(fd_, chunk, sizeof chunk);
       if (n <= 0) return std::nullopt;
       buffer_.append(chunk, static_cast<std::size_t>(n));
-      if (buffer_.size() > max_line_bytes_ &&
+      if (buffer_.size() > kMaxReplyBytes &&
           buffer_.find('\n') == std::string::npos) {
-        // Unbounded-buffer guard (client side of the daemon's
-        // max_line_bytes): a peer streaming bytes with no newline is
-        // misbehaving -- fail loudly and hang up.
+        // Unbounded-buffer guard: a peer streaming bytes with no newline
+        // is misbehaving -- fail loudly and hang up.
         close();
         return std::nullopt;
       }
@@ -144,7 +142,6 @@ class ClientConnection {
  private:
   int fd_ = -1;
   std::string buffer_;
-  std::size_t max_line_bytes_ = std::size_t{256} << 20;
 };
 
 /// Polls until the daemon's socket accepts a connection (the portable
@@ -242,7 +239,7 @@ class CompileClient {
 
   /// Explicit (re)connect for clients built from a socket path; "" on
   /// success. compile_retry also connects lazily -- this is for ops that
-  /// need a live connection up front (ping, stats, failpoints).
+  /// need a live connection up front (ping, metrics, failpoints).
   [[nodiscard]] std::string connect() {
     if (conn_.connected()) return "";
     if (socket_path_.empty()) return "no socket path to connect to";
@@ -259,11 +256,6 @@ class CompileClient {
     if (!msg.has_value() || !msg->is_object()) return false;
     const json::Value* ok = msg->find("ok");
     return ok != nullptr && ok->is_bool() && ok->as_bool();
-  }
-
-  /// Raw stats object, or nullopt on transport/parse failure.
-  [[nodiscard]] std::optional<json::Value> stats(int timeout_ms = 5000) {
-    return simple_op("stats", timeout_ms);
   }
 
   /// Full metrics-registry export ({"counters":…,"gauges":…,
@@ -501,7 +493,7 @@ class CompileClient {
   }
 
  private:
-  /// One-line request / one-line object reply ops (stats, metrics, trace).
+  /// One-line request / one-line object reply ops (metrics, trace).
   [[nodiscard]] std::optional<json::Value> simple_op(const std::string& op,
                                                      int timeout_ms) {
     if (!conn_.send_line("{\"op\":\"" + op + "\"}")) return std::nullopt;

@@ -98,23 +98,6 @@ struct ServiceOptions {
   bool degrade_on_db_error = false;
 };
 
-struct ServiceStats {
-  std::uint64_t submitted = 0;  // every submit() call, coalesced included
-  std::uint64_t coalesced = 0;  // submits attached to an in-flight work
-  std::uint64_t done = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t works_run = 0;  // pipeline executions (not store hits or
-                                // coalesced submits)
-  std::uint64_t plans_served = 0;  // scenario outcomes delivered on DONE
-
-  /// Every submitted ticket ends in exactly one terminal state.
-  [[nodiscard]] std::uint64_t terminals() const {
-    return done + cancelled + deadline_exceeded + rejected;
-  }
-};
-
 /// Resident bytes (request keys + encoded responses) the plan store holds
 /// before it evicts the least recently used entry. One perfbench `serve`
 /// pass (120 distinct requests) stores about 0.56 MB.
@@ -269,7 +252,6 @@ class Service {
     {
       std::lock_guard<std::mutex> g(mu_);
       ticket->id_ = ++next_ticket_id_;
-      ++stats_.submitted;
       metrics_.submitted.inc();
       ++inflight_tickets_;
       metrics_.in_flight.add(1);
@@ -348,21 +330,6 @@ class Service {
     std::lock_guard<std::mutex> g(mu_);
     return draining_;
   }
-  [[nodiscard]] std::size_t queue_depth() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return queue_.size();
-  }
-  /// Submitted tickets not yet in a terminal state (queued + running +
-  /// coalesced waiters) -- the live-load figure the `stats` op reports so a
-  /// wedged queue is visible, unlike the monotonic counters.
-  [[nodiscard]] std::size_t in_flight() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return inflight_tickets_;
-  }
-  [[nodiscard]] ServiceStats stats() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return stats_;
-  }
   [[nodiscard]] bool tracing_enabled() const {
     return !options_.trace_dir.empty();
   }
@@ -376,8 +343,7 @@ class Service {
   [[nodiscard]] std::size_t worker_count() const {
     return pipeline_.worker_count();
   }
-  [[nodiscard]] const ServiceOptions& options() const { return options_; }
-  /// Why options().database_path did not open; empty when it opened or
+  /// Why the database_path option did not open; empty when it opened or
   /// none was given.
   [[nodiscard]] const std::string& db_error() const { return db_error_; }
   /// True iff the database failed to open and degrade_on_db_error accepted
@@ -501,7 +467,6 @@ class Service {
     ticket->work_ = work;
     work->waiters.push_back(ticket);
     ++work->active;
-    ++stats_.coalesced;
     metrics_.coalesced.inc();
     if (work->running) {
       // Catch the lifecycle up to the work it joined.
@@ -578,21 +543,16 @@ class Service {
     }
     switch (to) {
       case RequestState::kDone:
-        ++stats_.done;
         metrics_.done.inc();
-        stats_.plans_served += ticket->response()->outcomes.size();
         metrics_.plans_served.inc(ticket->response()->outcomes.size());
         break;
       case RequestState::kCancelled:
-        ++stats_.cancelled;
         metrics_.cancelled.inc();
         break;
       case RequestState::kDeadlineExceeded:
-        ++stats_.deadline_exceeded;
         metrics_.deadline_exceeded.inc();
         break;
       case RequestState::kRejected:
-        ++stats_.rejected;
         metrics_.rejected.inc();
         break;
       default: FEMTO_EXPECTS(false && "terminalize on non-terminal state");
@@ -730,7 +690,6 @@ class Service {
           // never reject it here; anything else is a serving-logic bug.
           FEMTO_EXPECTS(result.status != core::RequestStatus::kRejected &&
                         "validated request rejected by pipeline");
-          ++stats_.works_run;
           metrics_.works_run.inc();
           metrics_.store_misses.inc();
           if (result.done()) remember(work->key, response, stored_bytes);
@@ -766,8 +725,8 @@ class Service {
   }
 
   /// References into the process-global registry (obs/metrics.hpp) under
-  /// the stable service.* names; resolved once so the record paths never
-  /// touch the registry lock. ServiceStats stays the per-instance view.
+  /// the stable service.* names, the only store of the service's counts;
+  /// resolved once so the record paths never touch the registry lock.
   struct Metrics {
     obs::Counter& submitted = obs::registry().counter("service.submitted");
     obs::Counter& coalesced = obs::registry().counter("service.coalesced");
@@ -805,7 +764,6 @@ class Service {
   std::condition_variable idle_cv_;  // wakes drain()
   std::deque<std::shared_ptr<Work>> queue_;
   std::unordered_map<std::string, std::shared_ptr<Work>> inflight_;
-  ServiceStats stats_;
   std::uint64_t next_ticket_id_ = 0;
   std::size_t inflight_tickets_ = 0;
   bool draining_ = false;
@@ -821,14 +779,14 @@ class Service {
 //
 // One line in, one or more lines out. Ops:
 //   {"op":"ping"}                          -> {"ok":true,"op":"ping",...}
-//   {"op":"stats"}                         -> {"ok":true,"op":"stats",...}
-//           (monotonic counters + live queue_depth / in_flight gauges)
 //   {"op":"metrics"}                       -> {"ok":true,"op":"metrics",
 //                                              "counters":{...},
 //                                              "gauges":{...},
 //                                              "histograms":{...}}
-//           (the full process-global registry, canonical JSON; histograms
-//            report count/sum_s/p50_s/p95_s/p99_s)
+//           (the full process-global registry, canonical JSON -- the
+//            service.* request counters and the queue_depth / in_flight /
+//            degraded gauges included; histograms report
+//            count/sum_s/p50_s/p95_s/p99_s)
 //   {"op":"trace"}                         -> {"ok":true,"op":"trace",
 //                                              "trace":{...chrome trace...}}
 //           (span tree of the most recent completed request; error when
@@ -852,15 +810,16 @@ class Service {
 // A client disconnect cancels its outstanding tickets.
 // ---------------------------------------------------------------------------
 
+/// Longest protocol line the daemon will buffer for one connection. A peer
+/// that exceeds it without sending '\n' gets a loud protocol error and the
+/// connection is closed -- a misbehaving client must not be able to grow an
+/// unbounded buffer in the daemon.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{4} << 20;
+
 struct SocketServerOptions {
   std::string socket_path;
   /// The service behind the socket; its `log` flag covers the socket layer.
   ServiceOptions service;
-  /// Longest protocol line the daemon will buffer for one connection. A
-  /// peer that exceeds it without sending '\n' gets a loud protocol error
-  /// and the connection is closed -- a misbehaving client must not be able
-  /// to grow an unbounded buffer in the daemon.
-  std::size_t max_line_bytes = std::size_t{4} << 20;
 };
 
 class SocketServer {
@@ -1017,17 +976,17 @@ class SocketServer {
         if (!line.empty()) handle_line(conn, line);
       }
       buffer.erase(0, start);
-      if (buffer.size() > options_.max_line_bytes) {
+      if (buffer.size() > kMaxLineBytes) {
         // Unbounded-buffer guard: reject loudly, then hang up.
         write_error(conn, "", "",
                     "protocol error: line exceeds " +
-                        std::to_string(options_.max_line_bytes) +
+                        std::to_string(kMaxLineBytes) +
                         " bytes without a newline; closing connection");
         if (options_.service.log)
           std::fprintf(stderr,
                        "femtod: closing connection: %zu buffered bytes "
-                       "without a newline (max_line_bytes %zu)\n",
-                       buffer.size(), options_.max_line_bytes);
+                       "without a newline (max %zu)\n",
+                       buffer.size(), kMaxLineBytes);
         break;
       }
     }
@@ -1087,28 +1046,6 @@ class SocketServer {
       v.set("ok", json::Value::boolean(true));
       v.set("op", json::Value::string("ping"));
       v.set("server", json::Value::string("femtod"));
-      write_line(conn, v.encode());
-    } else if (op == "stats") {
-      const ServiceStats s = service_.stats();
-      json::Value v = json::Value::object();
-      v.set("ok", json::Value::boolean(true));
-      v.set("op", json::Value::string("stats"));
-      v.set("submitted", json::Value::number(s.submitted));
-      v.set("coalesced", json::Value::number(s.coalesced));
-      v.set("done", json::Value::number(s.done));
-      v.set("cancelled", json::Value::number(s.cancelled));
-      v.set("deadline_exceeded", json::Value::number(s.deadline_exceeded));
-      v.set("rejected", json::Value::number(s.rejected));
-      v.set("works_run", json::Value::number(s.works_run));
-      v.set("plans_served", json::Value::number(s.plans_served));
-      v.set("queue_depth", json::Value::number(
-                               static_cast<std::uint64_t>(
-                                   service_.queue_depth())));
-      v.set("in_flight", json::Value::number(static_cast<std::uint64_t>(
-                             service_.in_flight())));
-      v.set("workers",
-            json::Value::number(service_.worker_count()));
-      v.set("degraded", json::Value::boolean(service_.degraded()));
       write_line(conn, v.encode());
     } else if (op == "failpoints") {
       // Chaos-run control plane: {"op":"failpoints"} lists the registry;

@@ -44,8 +44,8 @@ class BatchedState {
 
   /// True when (n, batch) fits the padded SoA representation -- the same
   /// contract the constructor enforces with FEMTO_EXPECTS. Callers that
-  /// want a graceful fallback (e.g. the dense verification arbiter) check
-  /// this instead of letting the constructor abort.
+  /// want a graceful fallback check this instead of letting the
+  /// constructor abort.
   [[nodiscard]] static bool fits(std::size_t n, std::size_t batch) {
     if (batch < 1 || batch > (std::size_t{1} << kMaxPaddedQubits))
       return false;

@@ -25,13 +25,6 @@
 // levels. tests/test_simd.cpp pins byte-equality of the amplitudes across
 // all levels for every gate kind, and bench_statevector re-checks it in CI
 // (simd_bit_identical == 1).
-//
-// With FEMTO_OPENMP defined (CMake option FEMTO_OPENMP) the outer stride
-// loops run under an OpenMP parallel-for once the state is large enough to
-// amortize the fork. Known limitation: the pragma sits on the outer stride
-// loop, so a gate whose (highest) qubit is near the top of the register has
-// few outer iterations and degrades toward serial; low- and mid-qubit gates
-// parallelize fully.
 #pragma once
 
 #include <algorithm>
@@ -48,18 +41,9 @@
 #include <immintrin.h>
 #endif
 
-#if defined(FEMTO_OPENMP)
-#define FEMTO_OMP_FOR _Pragma("omp parallel for schedule(static) if (omp_on)")
-#else
-#define FEMTO_OMP_FOR
-#endif
-
 namespace femto::sim::kernels {
 
 using Complex = std::complex<double>;
-
-/// States below this size are applied serially even when OpenMP is enabled.
-inline constexpr std::size_t kOmpMinDim = std::size_t{1} << 17;
 
 // --- contiguous-run primitives --------------------------------------------
 //
@@ -813,8 +797,6 @@ inline void apply_diag1(Complex* a, std::size_t dim, std::size_t q, Complex d0,
   const double r1 = d1.real(), i1 = d1.imag();
   const bool unit0 = r0 == 1.0 && i0 == 0.0;
   double* d = reinterpret_cast<double*>(a);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * bit) {
     if (!unit0) runs::scale(d + 2 * g, bit, r0, i0);
     runs::scale(d + 2 * (g + bit), bit, r1, i1);
@@ -827,8 +809,6 @@ inline void apply_real1(Complex* a, std::size_t dim, std::size_t q, double r00,
                         double r01, double r10, double r11) {
   const std::size_t bit = std::size_t{1} << q;
   double* d = reinterpret_cast<double*>(a);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * bit)
     runs::real2x2(d + 2 * g, d + 2 * (g + bit), 2 * bit, r00, r01, r10, r11);
 }
@@ -843,16 +823,13 @@ inline void apply_matrix1(Complex* a, std::size_t dim, std::size_t q,
     return;
   }
   const std::size_t bit = std::size_t{1} << q;
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
   if (m00 == zero && m11 == zero) {
     // Anti-diagonal (X, Y): a scaled swap of the two half-blocks.
     if (m01 == Complex{1.0, 0.0} && m10 == Complex{1.0, 0.0}) {
-      FEMTO_OMP_FOR
       for (std::size_t g = 0; g < dim; g += 2 * bit)
         runs::swap(a + g, a + g + bit, bit);
       return;
     }
-    FEMTO_OMP_FOR
     for (std::size_t g = 0; g < dim; g += 2 * bit)
       runs::cross_mul(a + g, a + g + bit, bit, m01, m10);
     return;
@@ -862,7 +839,6 @@ inline void apply_matrix1(Complex* a, std::size_t dim, std::size_t q,
     apply_real1(a, dim, q, m00.real(), m01.real(), m10.real(), m11.real());
     return;
   }
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * bit)
     runs::cmul2x2(a + g, a + g + bit, bit, m00, m01, m10, m11);
 }
@@ -879,8 +855,6 @@ inline void apply_cnot(Complex* a, std::size_t dim, std::size_t c,
   const std::size_t cb = std::size_t{1} << c;
   const std::size_t tb = std::size_t{1} << t;
   const std::size_t hb = std::max(cb, tb), lb = std::min(cb, tb);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::swap(a + (h | cb), a + (h | cb | tb), lb);
@@ -891,8 +865,6 @@ inline void apply_cz(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t ab = std::size_t{1} << qa;
   const std::size_t bb = std::size_t{1} << qb;
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::negate(reinterpret_cast<double*>(a + (h | ab | bb)), 2 * lb);
@@ -903,8 +875,6 @@ inline void apply_swap(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t ab = std::size_t{1} << qa;
   const std::size_t bb = std::size_t{1} << qb;
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::swap(a + (h | ab), a + (h | bb), lb);
@@ -919,8 +889,6 @@ inline void apply_xxrot(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
   const double c = std::cos(angle / 2), s = std::sin(angle / 2);
   const Complex mis{0.0, -s};
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb) {
       runs::rot2(a + h, a + (h | ab | bb), lb, c, mis, mis);
@@ -936,8 +904,6 @@ inline void apply_xyrot(Complex* a, std::size_t dim, std::size_t qa,
   const std::size_t hb = std::max(ab, bb), lb = std::min(ab, bb);
   const double c = std::cos(angle), s = std::sin(angle);
   const Complex mis{0.0, -s};
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * hb)
     for (std::size_t h = g; h < g + hb; h += 2 * lb)
       runs::rot2(a + (h | ab), a + (h | bb), lb, c, mis, mis);
@@ -980,14 +946,12 @@ namespace detail {
 /// provably constant over the run).
 inline void apply_pauli_exp(Complex* a, std::size_t dim, const PauliMasks& m,
                             double c, double s) {
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
   double* d = reinterpret_cast<double*>(a);
   if (m.x == 0) {
     // No Y sites either, so phase(i) = +-1 and the factor is e^{-+ i half}.
     const Complex even{c, -s}, odd{c, s};
     const std::uint64_t z = m.z;
     const std::size_t run = detail::phase_run(z, dim);
-    FEMTO_OMP_FOR
     for (std::size_t g = 0; g < dim; g += run) {
       const Complex f = (std::popcount(g & z) & 1) ? odd : even;
       runs::scale(d + 2 * g, run, f.real(), f.imag());
@@ -1003,7 +967,6 @@ inline void apply_pauli_exp(Complex* a, std::size_t dim, const PauliMasks& m,
   std::size_t sub = std::size_t{1} << std::countr_zero(flip);
   sub = std::min(sub, detail::phase_run(m.z, pb));
   sub = std::min(sub, pb);
-  FEMTO_OMP_FOR
   for (std::size_t g = 0; g < dim; g += 2 * pb) {
     for (std::size_t i = g; i < g + pb; i += sub) {
       const std::size_t j = i ^ flip;  // pivot set => j > i, visited once
@@ -1025,8 +988,6 @@ inline void accumulate_pauli(const Complex* a, std::size_t dim,
   std::size_t sub = detail::phase_run(m.z, dim);
   if (flip != 0)
     sub = std::min(sub, std::size_t{1} << std::countr_zero(flip));
-  [[maybe_unused]] const bool omp_on = dim >= kOmpMinDim;
-  FEMTO_OMP_FOR
   for (std::size_t j = 0; j < dim; j += sub) {
     const std::size_t i = j ^ flip;
     runs::axpy(out + j, a + i, sub, coeff * m.phase(i));

@@ -24,14 +24,12 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/batched.hpp"
 #include "sim/stabilizer.hpp"
 #include "sim/statevector.hpp"
 #include "verify/pauli_propagation.hpp"
@@ -106,14 +104,16 @@ struct EquivalenceReport {
   }
 };
 
+/// Tolerance on angles/coefficients (symbolic) and overlaps (dense).
+inline constexpr double kEquivalenceTol = 1e-9;
+/// Tier-3 arbitration limit: dense spot-checks only at or below this size.
+inline constexpr std::size_t kDenseMaxQubits = 12;
+/// Random (state, parameter) draws per dense spot-check.
+inline constexpr int kDenseTrials = 2;
+/// Seed of the dense spot-check's draws.
+inline constexpr std::uint64_t kDenseSeed = 0x5eedfe11ULL;
+
 struct EquivalenceOptions {
-  /// Tolerance on angles/coefficients (symbolic) and overlaps (dense).
-  double tol = 1e-9;
-  /// Tier-3 arbitration limit: dense spot-checks only at or below this size.
-  std::size_t dense_max_qubits = 12;
-  /// Random (state, parameter) draws per dense spot-check.
-  int dense_trials = 2;
-  std::uint64_t seed = 0x5eedfe11ULL;
   /// Disable to keep verification purely symbolic (always scalable).
   bool allow_dense_fallback = true;
 };
@@ -122,8 +122,6 @@ class EquivalenceChecker {
  public:
   explicit EquivalenceChecker(EquivalenceOptions options = {})
       : options_(options) {}
-
-  [[nodiscard]] const EquivalenceOptions& options() const { return options_; }
 
   /// Are two circuits the same unitary up to global phase (for variational
   /// circuits: for every parameter assignment)?
@@ -145,8 +143,8 @@ class EquivalenceChecker {
     }
     // Tier 2: symbolic propagation.
     EquivalenceReport report =
-        compare_forms(propagate_circuit(a, options_.tol),
-                      propagate_circuit(b, options_.tol));
+        compare_forms(propagate_circuit(a, kEquivalenceTol),
+                      propagate_circuit(b, kEquivalenceTol));
     if (report.equivalent()) return report;
     // Tier 3: arbitration for small instances.
     if (dense_possible(a.num_qubits()))
@@ -155,10 +153,6 @@ class EquivalenceChecker {
         sv.apply_circuit(a, params);
       }, [&](sim::StateVector& sv, std::span<const double> params) {
         sv.apply_circuit(b, params);
-      }, [&](sim::BatchedState& bs) {
-        bs.apply_circuit(a);
-      }, [&](sim::BatchedState& bs) {
-        bs.apply_circuit(b);
       }, std::max(a.num_params(), b.num_params()), a.num_qubits());
     return report;
   }
@@ -170,8 +164,8 @@ class EquivalenceChecker {
       const CompilationSpec& spec) const {
     const std::size_t n = circuit.num_qubits();
     EquivalenceReport report =
-        compare_forms(propagate_circuit(circuit, options_.tol),
-                      propagate_spec(n, spec, options_.tol));
+        compare_forms(propagate_circuit(circuit, kEquivalenceTol),
+                      propagate_spec(n, spec, kEquivalenceTol));
     if (report.equivalent() || !dense_possible(n)) return report;
     int num_params = circuit.num_params();
     for (const SpecOp& op : spec) {
@@ -184,10 +178,6 @@ class EquivalenceChecker {
       sv.apply_circuit(circuit, params);
     }, [&](sim::StateVector& sv, std::span<const double> params) {
       apply_spec(sv, spec, params);
-    }, [&](sim::BatchedState& bs) {
-      bs.apply_circuit(circuit);
-    }, [&](sim::BatchedState& bs) {
-      apply_spec_batched(bs, spec);
     }, num_params, n);
   }
 
@@ -257,13 +247,13 @@ class EquivalenceChecker {
   }
 
   [[nodiscard]] bool dense_possible(std::size_t n) const {
-    return options_.allow_dense_fallback && n <= options_.dense_max_qubits;
+    return options_.allow_dense_fallback && n <= kDenseMaxQubits;
   }
 
   [[nodiscard]] bool coeffs_match(const SymbolicRotation& a,
                                   const SymbolicRotation& b) const {
     return std::abs(a.coeff - b.coeff) <=
-           options_.tol * std::max(1.0, std::abs(a.coeff));
+           kEquivalenceTol * std::max(1.0, std::abs(a.coeff));
   }
 
   [[nodiscard]] static std::string describe(const SymbolicRotation& r) {
@@ -288,20 +278,6 @@ class EquivalenceChecker {
     }
   }
 
-  /// Literal-angle spec application across all trial lanes at once (only
-  /// reached from the batched arbitration path, where num_params == 0).
-  static void apply_spec_batched(sim::BatchedState& bs,
-                                 const CompilationSpec& spec) {
-    for (const SpecOp& op : spec) {
-      if (op.kind == SpecOp::Kind::kGate) {
-        bs.apply_gate(op.gate);
-        continue;
-      }
-      FEMTO_EXPECTS(op.block.param < 0);
-      bs.apply_pauli_exp(op.block.string, op.block.angle_coeff);
-    }
-  }
-
   /// Tier 3: random states and random parameter draws decide a tier-2
   /// mismatch. Both sides see identical draws; states are compared entry by
   /// entry after global-phase alignment (LINEAR sensitivity in any angle
@@ -309,57 +285,12 @@ class EquivalenceChecker {
   /// quadratically and wave small corruptions through). A counterexample is
   /// decisive (proven); agreement is probabilistic, so acceptance stays
   /// proven == false.
-  template <typename ApplyA, typename ApplyB, typename BatchApplyA,
-            typename BatchApplyB>
+  template <typename ApplyA, typename ApplyB>
   [[nodiscard]] EquivalenceReport arbitrate_dense(
       const EquivalenceReport& symbolic, ApplyA&& apply_a, ApplyB&& apply_b,
-      BatchApplyA&& batch_apply_a, BatchApplyB&& batch_apply_b, int num_params,
-      std::size_t n) const {
-    Rng rng(options_.seed);
-    // Batching pads the trial count to a power of two and holds two padded
-    // copies at once, so it only runs when that stays cheap: the padded
-    // buffer must be representable at all (BatchedState::fits -- near the
-    // n = 28 dense ceiling it is not) and no bigger than 2^24 amplitudes
-    // (256 MiB per copy). Otherwise the per-trial loop below decides the
-    // same verdict with the pre-batched memory profile of 2 * 2^n.
-    const std::size_t trials =
-        static_cast<std::size_t>(std::max(0, options_.dense_trials));
-    const bool batchable =
-        trials > 0 && sim::BatchedState::fits(n, trials) &&
-        (std::bit_ceil(trials) << n) <= (std::size_t{1} << 24);
-    if (num_params <= 0 && options_.dense_trials > 0 && batchable) {
-      // Literal-angle case: every trial shares the (empty) parameter draw,
-      // so all trial states advance together through one batched circuit
-      // application (sim::BatchedState). The draws, per-trial amplitudes and
-      // verdicts are identical to the per-trial loop below: the parameter
-      // loop there draws nothing when num_params == 0, and the batched
-      // kernels are bit-identical to the per-state ones.
-      std::vector<sim::StateVector> states;
-      states.reserve(trials);
-      for (int trial = 0; trial < options_.dense_trials; ++trial) {
-        sim::StateVector sv(n);
-        for (auto& amp : sv.amplitudes())
-          amp = sim::Complex{rng.normal(), rng.normal()};
-        sv.normalize();
-        states.push_back(std::move(sv));
-      }
-      sim::BatchedState ba = sim::BatchedState::from_states(states);
-      // The staging states are no longer needed: release them before the
-      // second padded copy so peak memory is staging + one copy, not
-      // staging + two.
-      states = {};
-      sim::BatchedState bb = ba;
-      batch_apply_a(ba);
-      batch_apply_b(bb);
-      for (int trial = 0; trial < options_.dense_trials; ++trial) {
-        const std::size_t t = static_cast<std::size_t>(trial);
-        const double diff = phase_aligned_distance(ba.lane(t), bb.lane(t));
-        if (diff > std::sqrt(options_.tol))
-          return dense_counterexample(symbolic, diff);
-      }
-      return dense_agreement();
-    }
-    for (int trial = 0; trial < options_.dense_trials; ++trial) {
+      int num_params, std::size_t n) const {
+    Rng rng(kDenseSeed);
+    for (int trial = 0; trial < kDenseTrials; ++trial) {
       std::vector<double> params(static_cast<std::size_t>(
           std::max(0, num_params)));
       for (double& p : params) p = rng.uniform(-2.0, 2.0);
@@ -371,7 +302,7 @@ class EquivalenceChecker {
       apply_a(sa, std::span<const double>(params));
       apply_b(sb, std::span<const double>(params));
       const double diff = phase_aligned_distance(sa, sb);
-      if (diff > std::sqrt(options_.tol))
+      if (diff > std::sqrt(kEquivalenceTol))
         return dense_counterexample(symbolic, diff);
     }
     return dense_agreement();
@@ -388,12 +319,12 @@ class EquivalenceChecker {
     return report;
   }
 
-  [[nodiscard]] EquivalenceReport dense_agreement() const {
+  [[nodiscard]] static EquivalenceReport dense_agreement() {
     EquivalenceReport report;
     report.method = EquivalenceMethod::kDenseSpotCheck;
     report.status = EquivalenceStatus::kEquivalent;
     report.detail = "symbolic forms diverged but " +
-                    std::to_string(options_.dense_trials) +
+                    std::to_string(kDenseTrials) +
                     " random-state trials agree (probabilistic)";
     return report;
   }

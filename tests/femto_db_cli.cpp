@@ -16,7 +16,6 @@
 //
 // Exit codes: 0 ok, 1 contract failure, 2 usage/setup error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -102,9 +101,9 @@ bool write_other_contract(const std::string& from, const std::string& to) {
 }
 
 /// Boots femtod on `database`, runs `femto-client compile` of `scenarios`,
-/// and reads the daemon's counters: true iff the client exited 0, every
-/// scenario line was one file hit, nothing executed, and femtod drained
-/// and exited 0.
+/// and reads the daemon's counters from its `metrics` op: true iff the
+/// client exited 0, every scenario line was one file hit, nothing
+/// executed, and femtod drained and exited 0.
 bool serves_every_request_from_the_file(const std::string& femtod,
                                         const std::string& femto_client,
                                         const std::string& database,
@@ -125,26 +124,24 @@ bool serves_every_request_from_the_file(const std::string& femtod,
   service::CompileClient admin(std::move(*conn));
   const bool client_ok =
       run({femto_client, "--socket", socket, "compile", scenarios}) == 0;
-  const auto stats = admin.stats();
   const auto metrics = admin.metrics();
-  const auto stat = [&](const char* key) {
-    const service::json::Value* v =
-        stats.has_value() ? stats->find(key) : nullptr;
-    return v != nullptr && v->is_number() ? v->as_double() : -1.0;
-  };
   const service::json::Value* counters =
       metrics.has_value() ? metrics->find("counters") : nullptr;
-  const service::json::Value* file_hits =
-      counters != nullptr ? counters->find("cache.l2_hits") : nullptr;
-  const double hits =
-      file_hits != nullptr ? std::atof(file_hits->as_string().c_str()) : -1.0;
+  const auto count = [&](const char* name) {
+    const service::json::Value* v =
+        counters != nullptr ? counters->find(name) : nullptr;
+    return v != nullptr && v->is_number() ? v->as_double() : -1.0;
+  };
+  const double done = count("service.done");
+  const double hits = count("cache.l2_hits");
+  const double executions = count("service.works_run");
   std::printf("femto_db_cli: %g scenario lines, %g done, %g file hits, %g "
               "executions\n",
-              lines, stat("done"), hits, stat("works_run"));
+              lines, done, hits, executions);
   const bool drained = admin.shutdown();
   const bool exited = service::wait_process(daemon) == 0;
-  return client_ok && lines > 0 && stat("done") == lines && hits == lines &&
-         stat("works_run") == 0 && drained && exited;
+  return client_ok && lines > 0 && done == lines && hits == lines &&
+         executions == 0 && drained && exited;
 }
 
 }  // namespace

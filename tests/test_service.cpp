@@ -77,8 +77,23 @@ std::string canonical(const service::protocol::WireResponse& response) {
   return service::protocol::encode_response(response).encode();
 }
 
-std::uint64_t counter(const char* name) {
-  return obs::registry().counter(name).value();
+/// A registry counter; given `since`, only its growth after that snapshot.
+/// The registry is process-global, so a test reads its own Service's counts
+/// as deltas from a snapshot taken when it builds the Service.
+std::uint64_t counter(const char* name,
+                      const obs::MetricsSnapshot& since = {}) {
+  std::uint64_t before = 0;
+  for (const auto& [counter_name, value] : since.counters)
+    if (counter_name == name) before = value;
+  return obs::registry().counter(name).value() - before;
+}
+
+/// Tickets that reached a terminal state since `since`: every submitted
+/// ticket ends in exactly one.
+std::uint64_t terminals(const obs::MetricsSnapshot& since) {
+  return counter("service.done", since) + counter("service.cancelled", since) +
+         counter("service.deadline_exceeded", since) +
+         counter("service.rejected", since);
 }
 
 /// Polls a ticket until it reaches `want` (terminal states stick, so a
@@ -349,6 +364,7 @@ TEST(Service, ServedPlanIsByteIdenticalToInProcessCompile) {
   const std::string expected = canonical(reference.compile(request));
 
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   const auto ticket = svc.submit(request);
   const service::protocol::WireResponse& served = ticket->wait();
   EXPECT_EQ(ticket->state(), RequestState::kDone);
@@ -360,15 +376,15 @@ TEST(Service, ServedPlanIsByteIdenticalToInProcessCompile) {
   const auto warm = svc.submit(request);
   EXPECT_EQ(canonical(warm->wait()), expected);
 
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.done, 2u);
-  EXPECT_EQ(stats.works_run, 1u);
-  EXPECT_EQ(stats.terminals(), stats.submitted);
+  EXPECT_EQ(counter("service.submitted", base), 2u);
+  EXPECT_EQ(counter("service.done", base), 2u);
+  EXPECT_EQ(counter("service.works_run", base), 1u);
+  EXPECT_EQ(terminals(base), counter("service.submitted", base));
 }
 
 TEST(Service, InvalidRequestRejectsBeforeQueueing) {
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   core::CompileRequest bad = tiny_request("bad");
   bad.restarts = 0;
   bool callback_fired = false;
@@ -379,14 +395,15 @@ TEST(Service, InvalidRequestRejectsBeforeQueueing) {
   EXPECT_EQ(ticket->state(), RequestState::kRejected);
   EXPECT_TRUE(callback_fired) << "rejection callback must fire synchronously";
   EXPECT_NE(ticket->wait().detail.find("invalid request"), std::string::npos);
-  EXPECT_EQ(svc.stats().rejected, 1u);
-  EXPECT_EQ(svc.stats().works_run, 0u);
+  EXPECT_EQ(counter("service.rejected", base), 1u);
+  EXPECT_EQ(counter("service.works_run", base), 0u);
 }
 
 TEST(Service, QueueFullRejectsLoudly) {
   service::ServiceOptions options = small_service();
   options.max_queue = 2;
   service::Service svc(options);
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   // Occupy the scheduler so subsequent submits stay queued.
   const auto blocker = svc.submit(tiny_request("blocker", 5000));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
@@ -398,11 +415,12 @@ TEST(Service, QueueFullRejectsLoudly) {
   svc.cancel(blocker);
   EXPECT_TRUE(q1->wait().done());
   EXPECT_TRUE(q2->wait().done());
-  EXPECT_EQ(svc.stats().rejected, 1u);
+  EXPECT_EQ(counter("service.rejected", base), 1u);
 }
 
 TEST(Service, CancelWhileQueuedNeverRuns) {
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   const auto blocker = svc.submit(tiny_request("blocker", 5000));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
   const auto victim = svc.submit(tiny_request("victim"));
@@ -413,12 +431,13 @@ TEST(Service, CancelWhileQueuedNeverRuns) {
   svc.cancel(blocker);
   svc.drain(/*cancel_queued=*/false);
   // The victim's work was dropped before running: only the blocker ran.
-  EXPECT_EQ(svc.stats().works_run, 1u);
-  EXPECT_EQ(svc.stats().cancelled, 2u);
+  EXPECT_EQ(counter("service.works_run", base), 1u);
+  EXPECT_EQ(counter("service.cancelled", base), 2u);
 }
 
 TEST(Service, CancelDuringRunningStopsAtRestartBoundary) {
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   const auto started = std::chrono::steady_clock::now();
   const auto ticket = svc.submit(tiny_request("cancel-running", 500));
   ASSERT_TRUE(wait_for_state(ticket, RequestState::kRunning));
@@ -430,8 +449,8 @@ TEST(Service, CancelDuringRunningStopsAtRestartBoundary) {
   // run short at a restart boundary.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
             30);
-  EXPECT_EQ(svc.stats().cancelled, 1u);
-  EXPECT_EQ(svc.stats().works_run, 1u);
+  EXPECT_EQ(counter("service.cancelled", base), 1u);
+  EXPECT_EQ(counter("service.works_run", base), 1u);
 }
 
 TEST(Service, DeadlineExceededMidRequest) {
@@ -449,22 +468,52 @@ TEST(Service, DeadlineExceededMidRequest) {
       << "deadline must interrupt the restart sweep";
 }
 
-TEST(Service, DeadlineExpiredWhileQueued) {
-  service::Service svc(small_service());
-  // A long blocker (cancelled below, after the victim's budget is spent)
-  // guarantees the victim's entire deadline elapses in the queue.
-  const auto blocker = svc.submit(tiny_request("blocker", 5000));
-  ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
-  core::CompileRequest request = tiny_request("deadline-queued");
-  request.deadline_s = 0.001;  // expires while waiting behind the blocker
+/// Submits `request` behind a long blocker (its own 600 s budget keeps any
+/// small default_deadline_s off it), waits 50 ms, cancels the blocker and
+/// returns the request's ticket once terminal.
+std::shared_ptr<service::Ticket> submit_behind_blocker(
+    service::Service& svc, const core::CompileRequest& request) {
+  core::CompileRequest blocker_request = tiny_request("blocker", 5000);
+  blocker_request.deadline_s = 600.0;
+  const auto blocker = svc.submit(blocker_request);
+  EXPECT_TRUE(wait_for_state(blocker, RequestState::kRunning));
   const auto ticket = svc.submit(request);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   svc.cancel(blocker);
-  const service::protocol::WireResponse& response = ticket->wait();
-  EXPECT_EQ(ticket->state(), RequestState::kDeadlineExceeded);
-  EXPECT_NE(response.detail.find("queued"), std::string::npos)
-      << response.detail;
-  EXPECT_TRUE(response.outcomes.empty()) << "no restart may have run";
+  (void)ticket->wait();
+  return ticket;
+}
+
+TEST(Service, DeadlineExpiredWhileQueued) {
+  // The victim's whole budget elapses in the queue: its own deadline_s, or
+  // the service's default_deadline_s when it carries none.
+  for (const auto& [default_deadline_s, deadline_s] :
+       {std::pair{0.0, 0.001}, std::pair{0.001, 0.0}}) {
+    service::ServiceOptions options = small_service();
+    options.default_deadline_s = default_deadline_s;
+    service::Service svc(options);
+    core::CompileRequest request = tiny_request("deadline-queued");
+    request.deadline_s = deadline_s;
+    const auto ticket = submit_behind_blocker(svc, request);
+    const service::protocol::WireResponse& response = ticket->wait();
+    EXPECT_EQ(ticket->state(), RequestState::kDeadlineExceeded)
+        << "default " << default_deadline_s << " s, own " << deadline_s
+        << " s";
+    EXPECT_NE(response.detail.find("queued"), std::string::npos)
+        << response.detail;
+    EXPECT_TRUE(response.outcomes.empty()) << "no restart may have run";
+  }
+}
+
+TEST(Service, OwnDeadlineWinsOverTheDefault) {
+  service::ServiceOptions options = small_service();
+  options.default_deadline_s = 0.001;
+  service::Service svc(options);
+  core::CompileRequest request = tiny_request("deadline-own");
+  request.deadline_s = 60.0;  // the 1 ms default would expire in the queue
+  const auto ticket = submit_behind_blocker(svc, request);
+  EXPECT_EQ(ticket->state(), RequestState::kDone) << ticket->wait().detail;
+  EXPECT_EQ(ticket->wait().outcomes.size(), 1u);
 }
 
 TEST(Service, DrainWithQueuedWorkCancelsItAndStopsAdmission) {
@@ -492,6 +541,7 @@ TEST(Service, CoalescingHammerServesOneExecutionToEveryone) {
   const std::string expected = canonical(reference.compile(request));
 
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   const auto blocker = svc.submit(tiny_request("blocker", 5000));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
 
@@ -518,7 +568,8 @@ TEST(Service, CoalescingHammerServesOneExecutionToEveryone) {
     if (t->coalesced()) ++coalesced_count;
   }
   EXPECT_EQ(coalesced_count, kClients - 1);
-  EXPECT_EQ(svc.stats().coalesced, static_cast<std::uint64_t>(kClients - 1));
+  EXPECT_EQ(counter("service.coalesced", base),
+            static_cast<std::uint64_t>(kClients - 1));
 
   // Every later repeat is a plan-store hit: DONE inside submit.
   const std::uint64_t hits_before = counter("cache.l1_hits");
@@ -529,14 +580,14 @@ TEST(Service, CoalescingHammerServesOneExecutionToEveryone) {
     EXPECT_EQ(canonical(t->wait()), expected);
   }
   EXPECT_EQ(counter("cache.l1_hits") - hits_before, 3u);
-  const service::ServiceStats stats = svc.stats();
   // blocker + ONE hammer execution, not six (or nine).
-  EXPECT_EQ(stats.works_run, 2u);
-  EXPECT_EQ(stats.terminals(), stats.submitted);
+  EXPECT_EQ(counter("service.works_run", base), 2u);
+  EXPECT_EQ(terminals(base), counter("service.submitted", base));
 }
 
 TEST(Service, DifferentSeedsDoNotCoalesce) {
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   const auto blocker = svc.submit(tiny_request("blocker", 32));
   ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
   const auto a = svc.submit(tiny_request("same", 1, 1));
@@ -545,7 +596,7 @@ TEST(Service, DifferentSeedsDoNotCoalesce) {
   svc.cancel(blocker);
   EXPECT_TRUE(a->wait().done());
   EXPECT_TRUE(b->wait().done());
-  EXPECT_EQ(svc.stats().coalesced, 0u);
+  EXPECT_EQ(counter("service.coalesced", base), 0u);
 }
 
 // --- plan store --------------------------------------------------------------
@@ -557,6 +608,7 @@ TEST(ServiceStore, RepeatAfterDoneServesSameBytesWithoutRunning) {
   const std::string expected = canonical(reference.compile(request));
 
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   EXPECT_EQ(canonical(svc.submit(request)->wait()), expected);
   const std::uint64_t hits_before = counter("cache.l1_hits");
   // The deadline is not part of the request's identity: even one that has
@@ -569,12 +621,13 @@ TEST(ServiceStore, RepeatAfterDoneServesSameBytesWithoutRunning) {
     EXPECT_EQ(canonical(ticket->wait()), expected);
   }
   EXPECT_EQ(counter("cache.l1_hits") - hits_before, 3u);
-  EXPECT_EQ(svc.stats().works_run, 1u);
-  EXPECT_EQ(svc.stats().done, 4u);
+  EXPECT_EQ(counter("service.works_run", base), 1u);
+  EXPECT_EQ(counter("service.done", base), 4u);
 }
 
 TEST(ServiceStore, CancelledAndDeadlineCutRunsAreNotStored) {
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   // A deadline-cut run is partial: its repeat runs (and is cut) again.
   core::CompileRequest cut = tiny_request("store-cut", 5000);
   cut.deadline_s = 0.05;
@@ -582,7 +635,7 @@ TEST(ServiceStore, CancelledAndDeadlineCutRunsAreNotStored) {
     const auto ticket = svc.submit(cut);
     EXPECT_EQ(ticket->wait().status, core::RequestStatus::kDeadlineExceeded);
   }
-  EXPECT_EQ(svc.stats().works_run, 2u);
+  EXPECT_EQ(counter("service.works_run", base), 2u);
 
   // So is a cancelled one: its repeat is admitted and runs again.
   const core::CompileRequest long_request = tiny_request("store-cancel", 5000);
@@ -592,8 +645,8 @@ TEST(ServiceStore, CancelledAndDeadlineCutRunsAreNotStored) {
     svc.cancel(ticket);
   }
   svc.drain(/*cancel_queued=*/false);
-  EXPECT_EQ(svc.stats().works_run, 4u);
-  EXPECT_EQ(svc.stats().done, 0u);
+  EXPECT_EQ(counter("service.works_run", base), 4u);
+  EXPECT_EQ(counter("service.done", base), 0u);
 }
 
 TEST(ServiceStore, EvictsLeastRecentlyUsedPastTheByteCap) {
@@ -604,6 +657,7 @@ TEST(ServiceStore, EvictsLeastRecentlyUsedPastTheByteCap) {
     return tiny_request(std::to_string(i) + std::string(1 << 20, 'x'));
   };
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   const std::uint64_t evictions_before = counter("cache.evictions");
   const std::string a = canonical(svc.submit(big_request(0))->wait());
   const std::string b = canonical(svc.submit(big_request(1))->wait());
@@ -617,14 +671,14 @@ TEST(ServiceStore, EvictsLeastRecentlyUsedPastTheByteCap) {
   ASSERT_EQ(counter("cache.evictions") - evictions_before, 1u)
       << "the store never filled";
   EXPECT_GT(next, 3) << "the cap should hold more than two entries";
-  const std::uint64_t runs = svc.stats().works_run;
+  const std::uint64_t runs = counter("service.works_run", base);
   const auto hit = svc.submit(big_request(0));
   EXPECT_EQ(hit->state(), RequestState::kDone);
   EXPECT_EQ(canonical(hit->wait()), a);
-  EXPECT_EQ(svc.stats().works_run, runs);
+  EXPECT_EQ(counter("service.works_run", base), runs);
   // The evicted entry's repeat recompiles to the same bytes.
   EXPECT_EQ(canonical(svc.submit(big_request(1))->wait()), b);
-  EXPECT_EQ(svc.stats().works_run, runs + 1);
+  EXPECT_EQ(counter("service.works_run", base), runs + 1);
 }
 
 TEST(ServiceStore, DroppedInsertsRecompileToTheSameBytes) {
@@ -636,9 +690,11 @@ TEST(ServiceStore, DroppedInsertsRecompileToTheSameBytes) {
   } disarm;
   ASSERT_EQ(fail::registry().arm("cache.insert:1:3"), "");
   service::Service svc(small_service());
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   for (int round = 0; round < 3; ++round)
     EXPECT_EQ(canonical(svc.submit(request)->wait()), expected);
-  EXPECT_EQ(svc.stats().works_run, 3u) << "every repeat must execute";
+  EXPECT_EQ(counter("service.works_run", base), 3u)
+      << "every repeat must execute";
 }
 
 TEST(ServiceStore, DatabaseFileServesStoredResponses) {
@@ -654,6 +710,7 @@ TEST(ServiceStore, DatabaseFileServesStoredResponses) {
   service::ServiceOptions options = small_service();
   options.database_path = path;
   service::Service svc(options);
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   EXPECT_TRUE(svc.db_error().empty()) << svc.db_error();
   const std::uint64_t file_hits = counter("cache.l2_hits");
   const std::uint64_t memory_hits = counter("cache.l1_hits");
@@ -665,10 +722,10 @@ TEST(ServiceStore, DatabaseFileServesStoredResponses) {
   // The file answers first; the decoded answer is then kept in memory.
   EXPECT_EQ(counter("cache.l2_hits") - file_hits, 1u);
   EXPECT_EQ(counter("cache.l1_hits") - memory_hits, 1u);
-  EXPECT_EQ(svc.stats().works_run, 0u);
+  EXPECT_EQ(counter("service.works_run", base), 0u);
   // A request the file does not hold still compiles.
   EXPECT_TRUE(svc.submit(tiny_request("store-file-miss"))->wait().done());
-  EXPECT_EQ(svc.stats().works_run, 1u);
+  EXPECT_EQ(counter("service.works_run", base), 1u);
   std::remove(path.c_str());
 }
 
@@ -696,12 +753,13 @@ TEST(Service, DegradedDatabaseServesByteIdenticalToNoDatabase) {
   // empty database.
   options.degrade_on_db_error = false;
   service::Service strict(options);
+  const obs::MetricsSnapshot base = obs::registry().snapshot();
   EXPECT_FALSE(strict.degraded());
   const auto ticket = strict.submit(request);
   EXPECT_EQ(ticket->state(), RequestState::kRejected);
   EXPECT_NE(ticket->wait().detail.find("cannot open compilation database"),
             std::string::npos);
-  EXPECT_EQ(strict.stats().works_run, 0u);
+  EXPECT_EQ(counter("service.works_run", base), 0u);
 }
 
 // --- socket loopback --------------------------------------------------------
@@ -711,6 +769,7 @@ TEST(ServiceSocket, LoopbackCompileMatchesInProcess) {
       "/tmp/femtod-test-" + std::to_string(::getpid()) + ".sock";
   service::SocketServer server(
       {.socket_path = socket_path, .service = small_service()});
+  const std::uint64_t done_before = counter("service.done");
   ASSERT_EQ(server.start(), "");
   std::thread runner([&] { server.run(); });
   // Early ASSERT returns must still stop the server and join the thread.
@@ -742,6 +801,11 @@ TEST(ServiceSocket, LoopbackCompileMatchesInProcess) {
   reply = client.connection().recv_line(5000);
   ASSERT_TRUE(reply.has_value());
   EXPECT_NE(reply->find("unknown request id"), std::string::npos);
+  // There is no stats op: the metrics op carries the request counters.
+  ASSERT_TRUE(client.connection().send_line(R"({"op":"stats"})"));
+  reply = client.connection().recv_line(5000);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_NE(reply->find("unknown op"), std::string::npos) << *reply;
 
   core::CompileRequest request = tiny_request("loopback", 2);
   request.verify = true;
@@ -756,11 +820,13 @@ TEST(ServiceSocket, LoopbackCompileMatchesInProcess) {
   EXPECT_EQ(served->canonical_response, expected)
       << "socket transport must not perturb the canonical bytes";
 
-  const auto stats = client.stats();
-  ASSERT_TRUE(stats.has_value());
-  const service::json::Value* done = stats->find("done");
+  const auto metrics = client.metrics();
+  ASSERT_TRUE(metrics.has_value());
+  const service::json::Value* counters = metrics->find("counters");
+  ASSERT_NE(counters, nullptr);
+  const service::json::Value* done = counters->find("service.done");
   ASSERT_NE(done, nullptr);
-  EXPECT_EQ(done->as_u64().value_or(0), 1u);
+  EXPECT_EQ(done->as_u64().value_or(0) - done_before, 1u);
 
   EXPECT_TRUE(client.shutdown());
 }
@@ -844,9 +910,8 @@ TEST(ServiceProtocol, SingleByteCorruptionNeverCrashesOrPartiallyApplies) {
 TEST(ServiceSocket, OversizedLineIsRejectedLoudlyAndConnectionCloses) {
   const std::string socket_path =
       "/tmp/femtod-maxline-" + std::to_string(::getpid()) + ".sock";
-  service::SocketServer server({.socket_path = socket_path,
-                                .service = small_service(),
-                                .max_line_bytes = 4096});
+  service::SocketServer server(
+      {.socket_path = socket_path, .service = small_service()});
   ASSERT_EQ(server.start(), "");
   std::thread runner([&] { server.run(); });
   struct Joiner {
@@ -860,10 +925,12 @@ TEST(ServiceSocket, OversizedLineIsRejectedLoudlyAndConnectionCloses) {
 
   auto conn = service::wait_for_server(socket_path);
   ASSERT_TRUE(conn.has_value());
-  // Stream >max_line_bytes of junk with no newline: the daemon must answer
-  // with a loud protocol error and hang up, not buffer forever.
-  const std::string junk(8192, 'x');
-  ASSERT_TRUE(conn->send_line(junk));  // send_line appends the newline LAST
+  // Stream more than kMaxLineBytes of junk with no newline: the daemon must
+  // answer with a loud protocol error and hang up, not buffer forever. It
+  // reads 4 KiB at a time, so it trips before the newline send_line appends
+  // LAST -- and may hang up before the tail is written, failing the send.
+  const std::string junk(service::kMaxLineBytes + 8192, 'x');
+  (void)conn->send_line(junk);
   const auto reply = conn->recv_line(5000);
   ASSERT_TRUE(reply.has_value());
   EXPECT_NE(reply->find("protocol error"), std::string::npos) << *reply;

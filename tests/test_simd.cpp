@@ -11,8 +11,7 @@
 //
 // Also covered here: sim::BatchedState against B independent per-state
 // runs (every gate kind, batch sizes 1/2/7/64, per-lane parameter sweeps),
-// and the batched wiring in vqe::energies, core::evolve_states and the
-// verify dense arbiter.
+// and the batched wiring in vqe::energies and core::evolve_states.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -29,7 +28,6 @@
 #include "sim/batched.hpp"
 #include "sim/statevector.hpp"
 #include "support/level_session.hpp"
-#include "verify/equivalence.hpp"
 #include "vqe/driver.hpp"
 
 namespace femto {
@@ -471,48 +469,6 @@ TEST(BatchedWiring, TrotterEvolutionMatchesPerState) {
     EXPECT_TRUE(bytes_equal(evolved.lane(b).amplitudes(), sv.amplitudes()))
         << "lane " << b;
   }
-}
-
-TEST(BatchedWiring, DenseArbiterRejectsLiteralAngleCounterexample) {
-  // Literal-angle (parameter-free) circuits take the batched tier-3 path:
-  // all dense trials advance together through one BatchedState application.
-  QuantumCircuit a(3), b(3);
-  Gate g;
-  g.kind = GateKind::kH;
-  g.q0 = 0;
-  a.append(g);
-  b.append(g);
-  g.kind = GateKind::kRx;
-  g.q0 = 1;
-  g.angle = 0.5;
-  a.append(g);
-  g.angle = 0.9;  // genuinely different unitary
-  b.append(g);
-  const verify::EquivalenceChecker checker;
-  const verify::EquivalenceReport report = checker.check(a, b);
-  EXPECT_EQ(report.status, verify::EquivalenceStatus::kNotEquivalent);
-  EXPECT_EQ(report.method, verify::EquivalenceMethod::kDenseSpotCheck);
-  EXPECT_TRUE(report.proven);
-}
-
-TEST(BatchedWiring, DenseArbiterAcceptsNearIdenticalLiteralAngles) {
-  // An angle difference below dense resolution but above the symbolic
-  // tolerance: tier 2 flags it, the batched dense arbiter waves it through
-  // as probabilistic equivalence -- the literal-angle corner case tier 3
-  // exists for.
-  QuantumCircuit a(3), b(3);
-  Gate g;
-  g.kind = GateKind::kRx;
-  g.q0 = 2;
-  g.angle = 0.5;
-  a.append(g);
-  g.angle = 0.5 + 1e-7;
-  b.append(g);
-  const verify::EquivalenceChecker checker;
-  const verify::EquivalenceReport report = checker.check(a, b);
-  EXPECT_EQ(report.status, verify::EquivalenceStatus::kEquivalent);
-  EXPECT_EQ(report.method, verify::EquivalenceMethod::kDenseSpotCheck);
-  EXPECT_FALSE(report.proven);
 }
 
 }  // namespace

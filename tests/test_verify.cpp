@@ -199,6 +199,48 @@ TEST(EquivalenceChecker, DenseTierArbitratesLiteralAngles) {
   EXPECT_EQ(symbolic.mismatch_index, 0u);
 }
 
+TEST(EquivalenceChecker, DenseArbiterRejectsLiteralAngleCounterexample) {
+  // Literal-angle (parameter-free) circuits with genuinely different Rx
+  // angles: tier 2 flags them and a dense trial is the counterexample.
+  QuantumCircuit a(3), b(3);
+  Gate g;
+  g.kind = GateKind::kH;
+  g.q0 = 0;
+  a.append(g);
+  b.append(g);
+  g.kind = GateKind::kRx;
+  g.q0 = 1;
+  g.angle = 0.5;
+  a.append(g);
+  g.angle = 0.9;  // genuinely different unitary
+  b.append(g);
+  const EquivalenceChecker checker;
+  const EquivalenceReport report = checker.check(a, b);
+  EXPECT_EQ(report.status, EquivalenceStatus::kNotEquivalent);
+  EXPECT_EQ(report.method, EquivalenceMethod::kDenseSpotCheck);
+  EXPECT_TRUE(report.proven);
+}
+
+TEST(EquivalenceChecker, DenseArbiterAcceptsNearIdenticalLiteralAngles) {
+  // An angle difference below dense resolution but above the symbolic
+  // tolerance: tier 2 flags it, the dense arbiter waves it through as
+  // probabilistic equivalence -- the literal-angle corner case tier 3
+  // exists for.
+  QuantumCircuit a(3), b(3);
+  Gate g;
+  g.kind = GateKind::kRx;
+  g.q0 = 2;
+  g.angle = 0.5;
+  a.append(g);
+  g.angle = 0.5 + 1e-7;
+  b.append(g);
+  const EquivalenceChecker checker;
+  const EquivalenceReport report = checker.check(a, b);
+  EXPECT_EQ(report.status, EquivalenceStatus::kEquivalent);
+  EXPECT_EQ(report.method, EquivalenceMethod::kDenseSpotCheck);
+  EXPECT_FALSE(report.proven);
+}
+
 TEST(EquivalenceChecker, CompiledResultsCertifyAgainstTheirSpecs) {
   const Fixture& f = lih();
   const EquivalenceChecker checker;

@@ -20,7 +20,8 @@
 //      in-process reference.
 //   5. Degradation: a corrupt database must fail boot (exit 2) without
 //      --degrade-on-db-error, and with the flag must compile byte-identical
-//      to the in-process reference while `stats` reports degraded:true.
+//      to the in-process reference while the `metrics` op reports the
+//      service.degraded gauge at 1.
 //
 // The ctest runs with no environment; CI's chaos leg additionally exports
 // FEMTO_FAILPOINTS so the daemon boots with faults already armed (the
@@ -306,7 +307,7 @@ int main(int argc, char** argv) {
     const pid_t degraded =
         spawn_femtod(femtod, degraded_socket, corrupt_path, true);
     bool served_identical = false;
-    bool stats_degraded = false;
+    bool gauge_degraded = false;
     bool clean = false;
     if (degraded > 0) {
       if (auto conn = service::wait_for_server(degraded_socket)) {
@@ -317,11 +318,12 @@ int main(int argc, char** argv) {
         served_identical = served.has_value() &&
                            served->state == service::RequestState::kDone &&
                            served->canonical_response == reference[0];
-        const auto stats = client.stats();
+        const auto metrics = client.metrics();
+        const service::json::Value* gauges =
+            metrics.has_value() ? metrics->find("gauges") : nullptr;
         const service::json::Value* flag =
-            stats.has_value() ? stats->find("degraded") : nullptr;
-        stats_degraded =
-            flag != nullptr && flag->is_bool() && flag->as_bool();
+            gauges != nullptr ? gauges->find("service.degraded") : nullptr;
+        gauge_degraded = flag != nullptr && flag->as_double() == 1.0;
         clean = client.shutdown();
       }
       clean = service::wait_process(degraded) == 0 && clean;
@@ -329,7 +331,8 @@ int main(int argc, char** argv) {
     check(served_identical,
           "degraded daemon compiles byte-identical to the in-process "
           "reference");
-    check(stats_degraded, "degraded daemon reports degraded:true in stats");
+    check(gauge_degraded,
+          "degraded daemon reports service.degraded = 1 in metrics");
     check(clean, "degraded daemon drained cleanly");
   }
 

@@ -2,9 +2,9 @@
 // self-contained daemon smoke test CI runs as a ctest.
 //
 //   femto-client --socket <path> ping
-//   femto-client --socket <path> stats
 //   femto-client --socket <path> metrics
-//       Fetches the daemon's unified metrics registry (obs/metrics.hpp)
+//       Fetches the daemon's unified metrics registry (obs/metrics.hpp) --
+//       the service.* request counters and live queue gauges included --
 //       and pretty-prints counters, gauges, and latency-histogram
 //       percentiles.
 //   femto-client --socket <path> trace
@@ -52,7 +52,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: femto-client --socket <path> "
-      "ping|stats|metrics|trace|shutdown [--cancel]\n"
+      "ping|metrics|trace|shutdown [--cancel]\n"
       "       femto-client --socket <path> compile <scenarios.jsonl>\n"
       "       femto-client --smoke <path-to-femtod>\n");
   return 2;
@@ -347,15 +347,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("pong\n");
-    return 0;
-  }
-  if (command == "stats") {
-    const auto stats = client.stats();
-    if (!stats.has_value()) {
-      std::fprintf(stderr, "femto-client: stats failed\n");
-      return 1;
-    }
-    std::printf("%s\n", stats->encode().c_str());
     return 0;
   }
   if (command == "metrics") return cmd_metrics(client);

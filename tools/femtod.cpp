@@ -18,20 +18,20 @@
 // serving: a loud stderr line, the service.degraded gauge raised, and
 // every request compiled -- byte-identical to a daemon that never had a
 // database (it only holds responses the compile produces anyway). The
-// `stats` op reports "degraded": true so fleets can alert on it.
+// `metrics` op reports the gauge, so fleets can alert on it.
 //
 // --trace-dir enables per-request tracing: every completed work writes a
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) to
 // <dir>/request-<id>.json, and the `trace` wire op serves the most recent
 // one. The `metrics` op (always available) exports the unified metrics
-// registry: plan-store hit/miss counters, request-latency percentiles,
-// live queue gauges.
+// registry: the service.* request counters, plan-store hit/miss counters,
+// request-latency percentiles, live queue gauges.
 //
 // Prints "femtod: serving on <path>" once the socket accepts connections
 // (drivers wait for the line OR poll-connect the socket). Shuts down on
 // the protocol's shutdown op or on SIGTERM/SIGINT, draining gracefully:
 // in-flight and queued work finishes, then the socket is torn down and a
-// final stats line is printed. Exit 0 on a clean drain, 2 on usage/setup
+// final line of the registry's service.* counters is printed. Exit 0 on a clean drain, 2 on usage/setup
 // errors.
 #include <cerrno>
 #include <csignal>
@@ -43,6 +43,7 @@
 #include <sys/stat.h>
 
 #include "common/failpoint.hpp"
+#include "obs/metrics.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -142,18 +143,18 @@ int main(int argc, char** argv) {
 
   server.run([] { return g_stop != 0; });
 
-  const service::ServiceStats stats = server.service().stats();
+  // One Service per process, so the registry's counts are this daemon's.
+  const auto count = [](const char* name) {
+    return static_cast<unsigned long long>(
+        obs::registry().counter(name).value());
+  };
   std::printf(
       "femtod: drained; submitted %llu (coalesced %llu) -> done %llu, "
       "cancelled %llu, deadline %llu, rejected %llu; %llu works run, "
       "%llu plans served\n",
-      static_cast<unsigned long long>(stats.submitted),
-      static_cast<unsigned long long>(stats.coalesced),
-      static_cast<unsigned long long>(stats.done),
-      static_cast<unsigned long long>(stats.cancelled),
-      static_cast<unsigned long long>(stats.deadline_exceeded),
-      static_cast<unsigned long long>(stats.rejected),
-      static_cast<unsigned long long>(stats.works_run),
-      static_cast<unsigned long long>(stats.plans_served));
+      count("service.submitted"), count("service.coalesced"),
+      count("service.done"), count("service.cancelled"),
+      count("service.deadline_exceeded"), count("service.rejected"),
+      count("service.works_run"), count("service.plans_served"));
   return 0;
 }
