@@ -63,6 +63,8 @@ namespace femto::core {
   std::vector<Vertex> vertices;
   const bool device = hw != nullptr && !hw->is_all_to_all_cnot();
   const bool constrained = device && hw->coupling.constrained();
+  // Vertices are numbered cluster by cluster, so each cluster's ids are
+  // consecutive, as GtspDense requires.
   opt::GtspDense inst;
   for (std::size_t k = 0; k < blocks.size(); ++k) {
     std::vector<int> cluster;

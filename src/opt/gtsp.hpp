@@ -13,12 +13,23 @@
 // space. A greedy nearest-neighbor seed accelerates convergence.
 //
 // Hot-path layout: the solver runs on a GtspDense -- the pairwise weight
-// materialized ONCE into a flat row-major matrix -- with every GA inner loop
-// (cluster DP, order crossover, mutation, seeding) working over
-// preallocated flat arrays in a reusable GtspWorkspace; after the first
-// generation no inner iteration allocates. Its results (RNG stream,
-// tie-breaks, floating-point sums) are bit-identical to the historical lazy
-// solver, which tests/support/gtsp_oracle.hpp keeps as the test oracle.
+// materialized ONCE into a flat row-major matrix, each cluster's vertices
+// numbered consecutively -- with every GA inner loop (cluster DP, order
+// crossover, mutation, seeding) working over preallocated flat arrays in a
+// reusable GtspWorkspace; after the first generation no inner iteration
+// allocates. Evolution spends its time in the value-only cluster DP, so:
+//
+//  * a child that equals one of its parents element for element (about
+//    half of all offspring) takes that parent's fitness instead of a DP;
+//  * the DP relaxes one layer a contiguous weight row at a time: each
+//    vertex of the previous cluster pushes its value across the slice of
+//    its row that holds the next cluster, four lanes at once under AVX2
+//    (common/simd.hpp; the portable loop is the reference).
+//
+// Its results (RNG stream, tie-breaks, floating-point sums) are
+// bit-identical to the historical lazy solver, which
+// tests/support/gtsp_oracle.hpp keeps as the test oracle, at every SIMD
+// level.
 #pragma once
 
 #include <algorithm>
@@ -28,8 +39,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+
+#if FEMTO_SIMD_X86
+#include <immintrin.h>
+#endif
 
 namespace femto::opt {
 
@@ -47,24 +63,40 @@ struct GtspOptions {
   int stagnation_limit = 60;  // stop early after this many flat generations
 };
 
+/// Lanes the cluster DP relaxes at once. A lane group may run up to
+/// kGtspLanes - 1 vertices past the end of a cluster, so the weight matrix
+/// and the DP rows carry that many doubles of slack.
+inline constexpr std::size_t kGtspLanes = 4;
+
 /// A GTSP instance with the pairwise weight materialized into a flat
 /// row-major matrix. Build once, then share READ-ONLY across solves and
 /// threads: the solver core never writes it. Intra-cluster pairs are never
 /// consulted by any solver path and stay 0.
+///
+/// Each cluster's vertex ids must be consecutive (v, v + 1, ...), so that
+/// the weights from one vertex to a whole cluster are one contiguous slice
+/// of its row; allocate() refuses any other layout. sort_advanced numbers
+/// its vertices that way.
 struct GtspDense {
   /// clusters[k] lists the global vertex ids of cluster k.
   std::vector<std::vector<int>> clusters;
   std::size_t num_vertices = 0;
-  std::vector<double> weights;  // row-major num_vertices x num_vertices
+  /// Row-major num_vertices x num_vertices, then kGtspLanes - 1 zeros of
+  /// slack for the last row's tail load.
+  std::vector<double> weights;
 
-  /// Sizes `weights` from the cluster table; callers then fill the
-  /// cross-cluster entries (e.g. core/sorting.hpp).
+  /// Checks the cluster layout and sizes `weights` from it; callers then
+  /// fill the cross-cluster entries (e.g. core/sorting.hpp).
   void allocate() {
     num_vertices = 0;
-    for (const auto& c : clusters)
+    for (const auto& c : clusters) {
+      for (std::size_t k = 1; k < c.size(); ++k)
+        FEMTO_EXPECTS(c[k] == c[0] + static_cast<int>(k) &&
+                      "GtspDense: each cluster's ids must be consecutive");
       for (int v : c)
         num_vertices = std::max(num_vertices, static_cast<std::size_t>(v) + 1);
-    weights.assign(num_vertices * num_vertices, 0.0);
+    }
+    weights.assign(num_vertices * num_vertices + kGtspLanes - 1, 0.0);
   }
 
   void set_weight(int a, int b, double w) {
@@ -83,7 +115,7 @@ struct GtspDense {
 /// solve after the first warms no allocator. A default-constructed
 /// workspace is created on the stack when the caller passes none.
 struct GtspWorkspace {
-  std::vector<double> dp, dp_next;       // layered cluster DP values
+  std::vector<double> dp, dp_next;       // layered DP values + lane slack
   std::vector<int> back;                 // flat back-pointers, m x max cluster
   std::vector<std::size_t> pop, next_pop;  // flat populations, P x m
   std::vector<double> fitness, next_fitness;
@@ -93,9 +125,76 @@ struct GtspWorkspace {
 
 namespace detail {
 
+// ---- value-only cluster DP ------------------------------------------------
+//
+// One layer of the DP, from cluster `prev` to cluster `cur` of the order,
+// is out[j] = max_i dp[i] + w[prev[i]][cur[j]], with i ascending and a
+// strict improvement from -inf, exactly as the lazy DP scans it. Both
+// clusters are consecutive ids, so w[prev[i]][cur[0] + j] is row i of a
+// `rows` x `width` block with stride num_vertices, and a layer relaxes it a
+// contiguous row at a time. Every out[j] still sees its i in ascending
+// order through the same single add, so every maximum is the same.
+
+inline void relax_rows_portable(const double* dp, std::size_t rows,
+                                const double* w, std::size_t stride,
+                                std::size_t width, double* out) {
+  std::fill(out, out + width, -std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double base = dp[i];
+    const double* row = w + i * stride;
+    for (std::size_t j = 0; j < width; ++j) {
+      const double v = base + row[j];
+      if (v > out[j]) out[j] = v;
+    }
+  }
+}
+
+#if FEMTO_SIMD_X86
+// _mm256_max_pd(v, best) is v > best ? v : best lane by lane -- the scalar
+// strict-improvement update, down to which operand a tie, a signed zero or a
+// NaN returns. Lanes past `width` read the next entries of the row (or the
+// matrix's slack) and land in out's slack; nothing reads them.
+__attribute__((target("avx2"))) inline void relax_rows_avx2(
+    const double* dp, std::size_t rows, const double* w, std::size_t stride,
+    std::size_t width, double* out) {
+  for (std::size_t j0 = 0; j0 < width; j0 += kGtspLanes) {
+    __m256d best = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+    for (std::size_t i = 0; i < rows; ++i) {
+      const __m256d v = _mm256_add_pd(_mm256_set1_pd(dp[i]),
+                                      _mm256_loadu_pd(w + i * stride + j0));
+      best = _mm256_max_pd(v, best);
+    }
+    _mm256_storeu_pd(out + j0, best);
+  }
+}
+#endif  // FEMTO_SIMD_X86
+
+/// One DP layer (common/simd.hpp dispatch; the AVX-512 level runs the AVX2
+/// lanes). `out` has room for `width` rounded up to kGtspLanes, and `w`
+/// for the last lane group's tail. Bit-identical at every level.
+inline void relax_rows(const double* dp, std::size_t rows, const double* w,
+                       std::size_t stride, std::size_t width, double* out) {
+#if FEMTO_SIMD_X86
+  switch (simd::level()) {
+    case simd::Level::kAvx512:
+    case simd::Level::kAvx2:
+      relax_rows_avx2(dp, rows, w, stride, width, out);
+      return;
+    default:
+      break;
+  }
+#endif
+  relax_rows_portable(dp, rows, w, stride, width, out);
+}
+
+/// `size` rounded up to whole lane groups: the room a DP row needs.
+[[nodiscard]] inline std::size_t lane_padded(std::size_t size) {
+  return (size + kGtspLanes - 1) / kGtspLanes * kGtspLanes;
+}
+
 /// Value of the exact cluster DP for a fixed order, without back-pointer
-/// bookkeeping: what the GA evaluates every offspring with. Identical
-/// floating-point sums and comparisons to the full DP, so the value is
+/// bookkeeping: what the GA evaluates every new offspring with. The same
+/// floating-point sums and comparisons as the full DP, so the value is
 /// bit-equal to cluster_dp(...).value.
 [[nodiscard]] inline double cluster_dp_value(const GtspDense& inst,
                                              const std::size_t* order,
@@ -103,26 +202,18 @@ namespace detail {
                                              GtspWorkspace& ws) {
   if (m == 0) return 0.0;
   std::size_t cur_size = inst.clusters[order[0]].size();
-  ws.dp.resize(std::max(ws.dp.size(), cur_size));
+  ws.dp.resize(std::max(ws.dp.size(), lane_padded(cur_size)));
   std::fill(ws.dp.begin(), ws.dp.begin() + static_cast<std::ptrdiff_t>(cur_size),
             0.0);
   for (std::size_t k = 1; k < m; ++k) {
     const auto& prev = inst.clusters[order[k - 1]];
     const auto& cur = inst.clusters[order[k]];
-    ws.dp_next.resize(std::max(ws.dp_next.size(), cur.size()));
-    const double* row_base = inst.weights.data();
-    for (std::size_t j = 0; j < cur.size(); ++j) {
-      double best = -std::numeric_limits<double>::infinity();
-      const std::size_t col = static_cast<std::size_t>(cur[j]);
-      for (std::size_t i = 0; i < prev.size(); ++i) {
-        const double v =
-            ws.dp[i] +
-            row_base[static_cast<std::size_t>(prev[i]) * inst.num_vertices +
-                     col];
-        if (v > best) best = v;
-      }
-      ws.dp_next[j] = best;
-    }
+    ws.dp_next.resize(std::max(ws.dp_next.size(), lane_padded(cur.size())));
+    relax_rows(ws.dp.data(), prev.size(),
+               inst.weights.data() +
+                   static_cast<std::size_t>(prev.front()) * inst.num_vertices +
+                   static_cast<std::size_t>(cur.front()),
+               inst.num_vertices, cur.size(), ws.dp_next.data());
     cur_size = cur.size();
     std::swap(ws.dp, ws.dp_next);
   }
@@ -289,8 +380,6 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   static obs::Counter& generations =
       obs::registry().counter("solver.gtsp_generations");
   solves.inc();
-  generations.inc(static_cast<std::uint64_t>(
-      options.generations > 0 ? options.generations : 0));
   for (const auto& c : inst.clusters) FEMTO_EXPECTS(!c.empty());
   GtspWorkspace local;
   GtspWorkspace& ws = workspace != nullptr ? *workspace : local;
@@ -336,8 +425,8 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
 
   double best_fit = -std::numeric_limits<double>::infinity();
   int stagnant = 0;
-  for (int gen = 0;
-       gen < options.generations && stagnant < options.stagnation_limit;
+  int gen = 0;
+  for (; gen < options.generations && stagnant < options.stagnation_limit;
        ++gen) {
     // Track the elite.
     for (std::size_t i = 0; i < pop_size; ++i) {
@@ -354,17 +443,27 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
     std::copy(ws.best_order.begin(), ws.best_order.end(), ws.next_pop.data());
     ws.next_fitness[0] = best_fit;
     for (std::size_t slot = 1; slot < pop_size; ++slot) {
-      const std::size_t* pa = ws.pop.data() + tournament_pick() * m;
-      const std::size_t* pb = ws.pop.data() + tournament_pick() * m;
+      const std::size_t ia = tournament_pick();
+      const std::size_t ib = tournament_pick();
+      const std::size_t* pa = ws.pop.data() + ia * m;
+      const std::size_t* pb = ws.pop.data() + ib * m;
       std::size_t* child = ws.next_pop.data() + slot * m;
       detail::order_crossover_into(pa, pb, m, child, ws.taken.data(), rng);
       if (rng.uniform() < options.mutation_rate)
         detail::mutate_span(child, m, rng);
-      ws.next_fitness[slot] = detail::cluster_dp_value(inst, child, m, ws);
+      // The DP is a pure function of the order: a clone keeps its parent's
+      // fitness, bit for bit.
+      if (std::equal(child, child + m, pa))
+        ws.next_fitness[slot] = ws.fitness[ia];
+      else if (std::equal(child, child + m, pb))
+        ws.next_fitness[slot] = ws.fitness[ib];
+      else
+        ws.next_fitness[slot] = detail::cluster_dp_value(inst, child, m, ws);
     }
     std::swap(ws.pop, ws.next_pop);
     std::swap(ws.fitness, ws.next_fitness);
   }
+  generations.inc(static_cast<std::uint64_t>(gen));
   for (std::size_t i = 0; i < pop_size; ++i)
     if (ws.fitness[i] > best_fit) {
       best_fit = ws.fitness[i];

@@ -49,12 +49,14 @@ class ClientConnection {
   ClientConnection& operator=(const ClientConnection&) = delete;
   ClientConnection(ClientConnection&& other) noexcept
       : fd_(std::exchange(other.fd_, -1)),
-        buffer_(std::move(other.buffer_)) {}
+        buffer_(std::move(other.buffer_)),
+        scanned_(std::exchange(other.scanned_, 0)) {}
   ClientConnection& operator=(ClientConnection&& other) noexcept {
     if (this != &other) {
       close();
       fd_ = std::exchange(other.fd_, -1);
       buffer_ = std::move(other.buffer_);
+      scanned_ = std::exchange(other.scanned_, 0);
     }
     return *this;
   }
@@ -86,6 +88,7 @@ class ClientConnection {
       fd_ = -1;
     }
     buffer_.clear();
+    scanned_ = 0;
   }
 
   [[nodiscard]] bool send_line(const std::string& line) {
@@ -107,12 +110,14 @@ class ClientConnection {
   [[nodiscard]] std::optional<std::string> recv_line(int timeout_ms = -1) {
     const auto started = std::chrono::steady_clock::now();
     for (;;) {
-      const std::size_t nl = buffer_.find('\n');
+      const std::size_t nl = buffer_.find('\n', scanned_);
       if (nl != std::string::npos) {
         std::string line = buffer_.substr(0, nl);
         buffer_.erase(0, nl + 1);
+        scanned_ = 0;
         return line;
       }
+      scanned_ = buffer_.size();
       int wait_ms = -1;
       if (timeout_ms >= 0) {
         const auto elapsed =
@@ -130,7 +135,7 @@ class ClientConnection {
       if (n <= 0) return std::nullopt;
       buffer_.append(chunk, static_cast<std::size_t>(n));
       if (buffer_.size() > kMaxReplyBytes &&
-          buffer_.find('\n') == std::string::npos) {
+          buffer_.find('\n', scanned_) == std::string::npos) {
         // Unbounded-buffer guard: a peer streaming bytes with no newline
         // is misbehaving -- fail loudly and hang up.
         close();
@@ -142,6 +147,9 @@ class ClientConnection {
  private:
   int fd_ = -1;
   std::string buffer_;
+  // buffer_[0, scanned_) holds no newline: each search starts past it, so
+  // framing a reply that arrives in many reads stays linear in its length.
+  std::size_t scanned_ = 0;
 };
 
 /// Polls until the daemon's socket accepts a connection (the portable

@@ -40,6 +40,7 @@
 //    can just scope a Service.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -955,6 +956,9 @@ class SocketServer {
 
   void serve(const std::shared_ptr<Conn>& conn) {
     std::string buffer;
+    // buffer[0, scanned) holds no newline: each search starts past it, so
+    // framing a line that arrives in many reads stays linear in its length.
+    std::size_t scanned = 0;
     char chunk[4096];
     for (;;) {
       if (FEMTO_FAILPOINT("service.recv")) {
@@ -969,13 +973,14 @@ class SocketServer {
       buffer.append(chunk, static_cast<std::size_t>(n));
       std::size_t start = 0;
       for (;;) {
-        const std::size_t nl = buffer.find('\n', start);
+        const std::size_t nl = buffer.find('\n', std::max(start, scanned));
         if (nl == std::string::npos) break;
         std::string line = buffer.substr(start, nl - start);
         start = nl + 1;
         if (!line.empty()) handle_line(conn, line);
       }
       buffer.erase(0, start);
+      scanned = buffer.size();
       if (buffer.size() > kMaxLineBytes) {
         // Unbounded-buffer guard: reject loudly, then hang up.
         write_error(conn, "", "",

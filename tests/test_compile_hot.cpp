@@ -9,13 +9,15 @@
 //  * anneal_gamma_fast vs the generic simulated-annealing driver on the
 //    same RNG stream,
 //  * the dense GTSP GA vs the lazy solver of tests/support/gtsp_oracle.hpp,
-//    on real-valued weights and on tie-prone integer weights at every SIMD
-//    dispatch level,
+//    on real-valued weights and on tie-prone integer weights, and its lane
+//    value DP vs the backtracking DP, at every SIMD dispatch level,
 //  * the pushed 8-lane Held-Karp DP, sort_baseline and the symplectic exact
 //    GT objective vs the reference formulation in
 //    tests/support/baseline_oracle.hpp, at every SIMD dispatch level.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -291,9 +293,16 @@ TEST(AnnealGammaFast, BitIdenticalToGenericSimulatedAnnealing) {
   }
 }
 
-/// Random GTSP instance with a pure tabulated weight.
+/// Weights of random_gtsp: real-valued in [-2, 8), or tie-prone integers
+/// -3..4 like sort_advanced's (an interface saving plus a routing bonus
+/// <= 0).
+enum class GtspWeights { kReal, kInteger };
+
+/// Random GTSP instance with a pure tabulated weight: clusters of
+/// 1..max_size consecutive vertices.
 oracle::GtspInstance random_gtsp(std::size_t clusters, std::size_t max_size,
-                                 Rng& rng, std::vector<double>& table) {
+                                 Rng& rng, std::vector<double>& table,
+                                 GtspWeights weights = GtspWeights::kReal) {
   oracle::GtspInstance inst;
   int next = 0;
   for (std::size_t c = 0; c < clusters; ++c) {
@@ -304,7 +313,10 @@ oracle::GtspInstance random_gtsp(std::size_t clusters, std::size_t max_size,
   }
   const std::size_t stride = static_cast<std::size_t>(next);
   table.resize(stride * stride);
-  for (double& v : table) v = rng.uniform(-2.0, 8.0);
+  for (double& v : table)
+    v = weights == GtspWeights::kReal
+            ? rng.uniform(-2.0, 8.0)
+            : static_cast<double>(rng.range(-3, 4));
   inst.weight = [&table, stride](int a, int b) {
     return table[static_cast<std::size_t>(a) * stride +
                  static_cast<std::size_t>(b)];
@@ -313,6 +325,9 @@ oracle::GtspInstance random_gtsp(std::size_t clusters, std::size_t max_size,
 }
 
 TEST(DenseGtsp, GaBitIdenticalToLazyReference) {
+  // Real-valued weights: every SIMD level must reproduce the lazy solver's
+  // order, choice, value and RNG position.
+  const LevelSession session;
   Rng build_rng(107);
   for (int rep = 0; rep < 12; ++rep) {
     std::vector<double> table;
@@ -323,43 +338,39 @@ TEST(DenseGtsp, GaBitIdenticalToLazyReference) {
                                    .tournament = 3,
                                    .mutation_rate = 0.4,
                                    .stagnation_limit = 25};
-    Rng ref_rng(700 + rep), dense_rng(700 + rep);
+    Rng ref_rng(700 + rep);
     const opt::GtspSolution reference =
         oracle::solve_gtsp_ga_reference(inst, ref_rng, options);
-    const opt::GtspSolution dense =
-        opt::solve_gtsp_ga(oracle::materialize(inst), dense_rng, options);
-    EXPECT_EQ(dense.cluster_order, reference.cluster_order) << rep;
-    EXPECT_EQ(dense.vertex_choice, reference.vertex_choice) << rep;
-    EXPECT_EQ(dense.value, reference.value) << rep;
-    EXPECT_EQ(ref_rng.index(1u << 30), dense_rng.index(1u << 30)) << rep;
+    const std::size_t ref_next = ref_rng.index(1u << 30);
+    const opt::GtspDense dense = oracle::materialize(inst);
+    for (const simd::Level lvl : session.levels()) {
+      ASSERT_EQ(simd::set_level(lvl), lvl);
+      Rng dense_rng(700 + rep);
+      const opt::GtspSolution got =
+          opt::solve_gtsp_ga(dense, dense_rng, options);
+      const std::string where =
+          "rep " + std::to_string(rep) + " " + simd::to_string(lvl);
+      EXPECT_EQ(got.cluster_order, reference.cluster_order) << where;
+      EXPECT_EQ(got.vertex_choice, reference.vertex_choice) << where;
+      EXPECT_EQ(got.value, reference.value) << where;
+      EXPECT_EQ(dense_rng.index(1u << 30), ref_next) << where;
+    }
   }
 }
 
 TEST(DenseGtsp, GaBitIdenticalToLazyReferenceOnIntegerTies) {
-  // Production weights are integers (an interface saving plus an integer
-  // routing bonus), so DP maxima and tournament fitnesses tie often. Shaped
-  // like sort_advanced's solves: 1..40 clusters of 1..7 vertices, weights
-  // 0..4, default options; every SIMD level must reproduce the lazy
-  // solver's order, choice, value and RNG position.
+  // Production weights are integers, so DP maxima and tournament fitnesses
+  // tie often. 1..40 clusters of 1..12 vertices cross the 4/5 and 8/9 lane
+  // group edges, and whichever cluster holds the last ids makes the tail
+  // load read the matrix's slack. Default options; every SIMD level must
+  // reproduce the lazy solver's order, choice, value and RNG position.
   const LevelSession session;
   Rng build_rng(123);
   for (int rep = 0; rep < 40; ++rep) {
-    const std::size_t clusters = 1 + static_cast<std::size_t>(rep);
-    oracle::GtspInstance inst;
-    int next = 0;
-    for (std::size_t c = 0; c < clusters; ++c) {
-      std::vector<int> cluster;
-      const std::size_t size = 1 + build_rng.index(7);
-      for (std::size_t v = 0; v < size; ++v) cluster.push_back(next++);
-      inst.clusters.push_back(std::move(cluster));
-    }
-    const std::size_t stride = static_cast<std::size_t>(next);
-    std::vector<double> table(stride * stride);
-    for (double& v : table) v = static_cast<double>(build_rng.index(5));
-    inst.weight = [&table, stride](int a, int b) {
-      return table[static_cast<std::size_t>(a) * stride +
-                   static_cast<std::size_t>(b)];
-    };
+    std::vector<double> table;
+    const oracle::GtspInstance inst =
+        random_gtsp(1 + static_cast<std::size_t>(rep), 12, build_rng, table,
+                    GtspWeights::kInteger);
     Rng ref_rng(900 + rep);
     const opt::GtspSolution reference =
         oracle::solve_gtsp_ga_reference(inst, ref_rng);
@@ -377,6 +388,51 @@ TEST(DenseGtsp, GaBitIdenticalToLazyReferenceOnIntegerTies) {
       EXPECT_EQ(dense_rng.index(1u << 30), ref_next) << where;
     }
   }
+}
+
+TEST(DenseGtsp, ValueDpBitEqualsBacktrackingDpAtEveryLevel) {
+  // The lane DP the GA evaluates offspring with must return the backtracking
+  // DP's value bit for bit, on real-valued and on tie-prone integer weights.
+  const LevelSession session;
+  Rng build_rng(131);
+  for (int rep = 0; rep < 60; ++rep) {
+    std::vector<double> table;
+    const std::size_t clusters = 1 + build_rng.index(30);
+    const oracle::GtspInstance inst = random_gtsp(
+        clusters, 12, build_rng, table,
+        rep % 2 == 0 ? GtspWeights::kReal : GtspWeights::kInteger);
+    const opt::GtspDense dense = oracle::materialize(inst);
+    std::vector<std::size_t> order(clusters);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (int trial = 0; trial < 8; ++trial) {
+      build_rng.shuffle(order);
+      opt::GtspWorkspace ws;
+      const double expected =
+          opt::detail::cluster_dp(dense, order.data(), clusters, ws).value;
+      for (const simd::Level lvl : session.levels()) {
+        ASSERT_EQ(simd::set_level(lvl), lvl);
+        const double got =
+            opt::detail::cluster_dp_value(dense, order.data(), clusters, ws);
+        EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+            << "rep " << rep << " trial " << trial << " "
+            << simd::to_string(lvl) << ": " << got << " vs " << expected;
+      }
+    }
+  }
+}
+
+TEST(DenseGtspDeathTest, AllocateRefusesNonConsecutiveClusterIds) {
+  opt::GtspDense consecutive;
+  consecutive.clusters = {{0, 1, 2}, {3}, {4, 5}};
+  consecutive.allocate();
+  EXPECT_EQ(consecutive.num_vertices, 6u);
+  EXPECT_EQ(consecutive.weights.size(), 6u * 6u + opt::kGtspLanes - 1);
+  opt::GtspDense gapped;
+  gapped.clusters = {{0, 2}, {1, 3}};
+  EXPECT_DEATH(gapped.allocate(), "consecutive");
+  opt::GtspDense descending;
+  descending.clusters = {{1, 0}, {2}};
+  EXPECT_DEATH(descending.allocate(), "consecutive");
 }
 
 /// Random string whose letters come from a small alphabet on few qubits, so

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "opt/binary_pso.hpp"
 #include "opt/gtsp.hpp"
 #include "opt/simulated_annealing.hpp"
@@ -100,6 +102,33 @@ TEST(Gtsp, GaRecoversPlantedTour) {
                                              .stagnation_limit = 120});
   // Planted tour value: 7 consecutive edges x 10.
   EXPECT_NEAR(sol.value, 70.0, 1e-9);
+}
+
+TEST(Gtsp, GenerationsCounterCountsGenerationsRun) {
+  obs::Counter& generations =
+      obs::registry().counter("solver.gtsp_generations");
+  // A single cluster never enters the generation loop.
+  GtspInstance single;
+  single.clusters = {{0, 1, 2}};
+  single.weight = [](int, int) { return 1.0; };
+  Rng rng(9);
+  std::uint64_t before = generations.value();
+  (void)solve_gtsp_ga(materialize(single), rng);
+  EXPECT_EQ(generations.value() - before, 0u);
+  // The first generation already holds the planted tour, so the solve stops
+  // on stagnation after 1 + stagnation_limit generations, well inside its
+  // budget of 300, and counts only the generations that ran.
+  Rng planted_rng(5);
+  before = generations.value();
+  const GtspSolution sol = solve_gtsp_ga(materialize(planted_instance(8, 3)),
+                                         planted_rng,
+                                         {.population = 32,
+                                          .generations = 300,
+                                          .tournament = 3,
+                                          .mutation_rate = 0.4,
+                                          .stagnation_limit = 120});
+  EXPECT_NEAR(sol.value, 70.0, 1e-9);
+  EXPECT_EQ(generations.value() - before, 121u);
 }
 
 TEST(Gtsp, GaBeatsOrMatchesRandomAndGreedy) {

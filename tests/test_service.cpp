@@ -11,9 +11,16 @@
 // femtod a cache you can trust rather than a nondeterministic middleman.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -942,6 +949,127 @@ TEST(ServiceSocket, OversizedLineIsRejectedLoudlyAndConnectionCloses) {
   ASSERT_TRUE(healthy.has_value());
   service::CompileClient client(std::move(*healthy));
   EXPECT_TRUE(client.ping());
+}
+
+/// A raw client socket: writes byte runs exactly as given, with no newline
+/// appended, and reads the replies a line at a time.
+class RawSocket {
+ public:
+  explicit RawSocket(const std::string& socket_path) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd_ >= 0 &&
+        service::net::connect_retry(
+            fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawSocket() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawSocket(const RawSocket&) = delete;
+  RawSocket& operator=(const RawSocket&) = delete;
+
+  [[nodiscard]] bool write(const std::string& bytes) {
+    for (std::size_t off = 0; off < bytes.size();) {
+      const ssize_t n = service::net::send_retry(
+          fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  [[nodiscard]] std::optional<std::string> read_line(int timeout_ms) {
+    for (;;) {
+      if (const std::size_t nl = buffer_.find('\n'); nl != std::string::npos) {
+        std::string line = buffer_.substr(0, nl);
+        buffer_.erase(0, nl + 1);
+        return line;
+      }
+      pollfd p{fd_, POLLIN, 0};
+      if (service::net::poll_retry(&p, timeout_ms) <= 0) return std::nullopt;
+      char chunk[4096];
+      const ssize_t n = service::net::recv_retry(fd_, chunk, sizeof chunk);
+      if (n <= 0) return std::nullopt;
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  std::string buffer_;
+};
+
+TEST(ServiceSocket, RepliesDoNotDependOnHowRequestBytesArrive) {
+  const std::string socket_path =
+      "/tmp/femtod-framing-" + std::to_string(::getpid()) + ".sock";
+  service::SocketServer server(
+      {.socket_path = socket_path, .service = small_service()});
+  ASSERT_EQ(server.start(), "");
+  std::thread runner([&] { server.run(); });
+  struct Joiner {
+    service::SocketServer& server;
+    std::thread& thread;
+    ~Joiner() {
+      server.request_shutdown(false);
+      if (thread.joinable()) thread.join();
+    }
+  } joiner{server, runner};
+  ASSERT_TRUE(service::wait_for_server(socket_path).has_value());
+
+  // The cancel's error reply echoes its 6000-byte id, so that request and
+  // its reply each span more than one 4 KiB read.
+  const std::string long_id(6000, 'g');
+  const std::vector<std::string> requests = {
+      R"({"op":"ping"})",
+      R"({"op":"cancel","id":")" + long_id + R"("})",
+      "{not json",
+      R"({"op":"nope"})",
+  };
+  // Writes the requests over a fresh connection with `send`, then reads one
+  // reply per request.
+  const auto replies = [&](const auto& send) {
+    RawSocket sock(socket_path);
+    std::vector<std::string> out;
+    if (!send(sock)) return out;
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      const auto line = sock.read_line(5000);
+      if (!line.has_value()) break;
+      out.push_back(*line);
+    }
+    return out;
+  };
+  const auto whole = replies([&](RawSocket& sock) {
+    for (const std::string& r : requests)
+      if (!sock.write(r + "\n")) return false;
+    return true;
+  });
+  const auto paired = replies([&](RawSocket& sock) {
+    for (std::size_t k = 0; k + 1 < requests.size(); k += 2)
+      if (!sock.write(requests[k] + "\n" + requests[k + 1] + "\n"))
+        return false;
+    return true;
+  });
+  const auto trickled = replies([&](RawSocket& sock) {
+    std::string all;
+    for (const std::string& r : requests) all += r + "\n";
+    for (std::size_t off = 0; off < all.size(); off += 3) {
+      if (!sock.write(all.substr(off, 3))) return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    return true;
+  });
+  ASSERT_EQ(whole.size(), requests.size());
+  EXPECT_NE(whole[0].find(R"("op":"ping")"), std::string::npos) << whole[0];
+  EXPECT_NE(whole[1].find(long_id), std::string::npos);
+  EXPECT_NE(whole[2].find("parse error"), std::string::npos) << whole[2];
+  EXPECT_NE(whole[3].find("unknown op"), std::string::npos) << whole[3];
+  EXPECT_EQ(paired, whole);
+  EXPECT_EQ(trickled, whole);
 }
 
 TEST(ServiceSocket, RetryingClientSurvivesInjectedConnectionDrops) {

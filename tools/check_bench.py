@@ -59,12 +59,14 @@ ABS_FLOORS = {
     # (the reference machine does 200-8000 verified circuits/s; the floor
     # leaves ~8x headroom on the slowest section).
     "verify": {"verified_per_s": 25.0},
-    # Compile hot-path word ops (bench_compile_hot): simd_wordops_speedup
-    # is forced-portable vs best dispatch level in the same process
-    # (reference machine ~9x with AVX-512; AVX2-only hosts still clear ~5x
-    # because the vectorized popcount replaces a per-word libcall); the
-    # floor only requires that SIMD dispatch keeps paying.
-    "compile_hot": {"simd_wordops_speedup": 1.5},
+    # Compile hot paths (bench_compile_hot), each forced-portable vs best
+    # dispatch level in the same process: simd_wordops_speedup for the GF(2)
+    # word ops (reference machine ~5-9x with AVX-512; AVX2-only hosts still
+    # clear ~5x because the vectorized popcount replaces a per-word
+    # libcall), simd_gtsp_speedup for whole GTSP GA solves on the cluster
+    # DP's four double lanes (reference machine ~2.5x). The floors only
+    # require that SIMD dispatch keeps paying.
+    "compile_hot": {"simd_wordops_speedup": 1.5, "simd_gtsp_speedup": 1.5},
     # Serving compiled segments from the mmap'd compilation database must
     # stay at memory speed (binary search + circuit decode). The reference
     # machine does >1M lookups/s; the floor leaves ~20x headroom.
