@@ -9,81 +9,29 @@
 //       (statevector), confirming the reordering preserves accuracy at the
 //       Trotter-error level.
 #include <cstdio>
-
-#include "bench_harness.hpp"
 #include <vector>
 
-#include "core/rotation_blocks.hpp"
-#include "core/sorting.hpp"
-#include "fermion/operators.hpp"
+#include "bench_harness.hpp"
+#include "core/dynamics.hpp"
 #include "sim/statevector.hpp"
-#include "synth/pauli_exponential.hpp"
 #include "transform/linear_encoding.hpp"
 
 namespace {
 
 using namespace femto;
 
-/// Spinful Fermi-Hubbard chain on `sites` sites (interleaved spins).
-fermion::FermionOperator hubbard_hamiltonian(std::size_t sites, double t,
-                                             double u) {
-  fermion::FermionOperator h;
-  for (std::size_t i = 0; i + 1 < sites; ++i) {
-    for (int spin = 0; spin < 2; ++spin) {
-      const std::size_t a = 2 * i + static_cast<std::size_t>(spin);
-      const std::size_t b = 2 * (i + 1) + static_cast<std::size_t>(spin);
-      h.add_term({-t, 0.0}, {{a, true}, {b, false}});
-      h.add_term({-t, 0.0}, {{b, true}, {a, false}});
-    }
-  }
-  for (std::size_t i = 0; i < sites; ++i) {
-    h.add_term({u, 0.0},
-               {{2 * i, true}, {2 * i, false}, {2 * i + 1, true},
-                {2 * i + 1, false}});
-  }
-  return h;
-}
-
-struct TrotterStep {
-  std::vector<synth::RotationBlock> blocks;  // exp(-i dt H) ~ prod blocks
-  std::size_t n = 0;
-};
-
-/// One first-order Trotter step as rotation blocks (angle = coeff * dt
-/// folded into literal angles).
-TrotterStep trotter_blocks(std::size_t sites, double t, double u, double dt) {
-  TrotterStep step;
-  step.n = 2 * sites;
-  const auto enc = transform::LinearEncoding::jordan_wigner(step.n);
-  const pauli::PauliSum hq = enc.map(hubbard_hamiltonian(sites, t, u));
-  for (const auto& term : hq.terms()) {
-    if (term.string.is_identity_letters()) continue;
-    synth::RotationBlock b;
-    b.string = term.string;
-    FEMTO_ASSERT(std::abs(term.coefficient.imag()) < 1e-12);
-    b.angle_coeff = 2.0 * term.coefficient.real() * dt;  // exp(-i c dt P)
-    b.param = -1;
-    b.target = b.string.support().lowest_set();
-    step.blocks.push_back(b);
-  }
-  return step;
-}
-
-double fidelity_against_exact(const TrotterStep& step,
-                              const circuit::QuantumCircuit& circ,
-                              const pauli::PauliSum& hq, double dt) {
+double fidelity_against_exact(std::size_t n,
+                              const std::vector<synth::RotationBlock>& blocks,
+                              const circuit::QuantumCircuit& circ) {
   // Reference: near-exact evolution via many fine Trotter sub-steps of the
   // block list (error O(substeps^-1) below anything we resolve here).
   const int substeps = 400;
-  sim::StateVector ref(step.n);
   // Start from a quarter-filled product state with one up and one down.
-  ref = sim::StateVector::basis_state(step.n, 0b0011);
+  sim::StateVector ref = sim::StateVector::basis_state(n, 0b0011);
   for (int s = 0; s < substeps; ++s)
-    for (const auto& b : step.blocks)
+    for (const auto& b : blocks)
       ref.apply_pauli_exp(b.string, b.angle_coeff / substeps);
-  (void)hq;
-  (void)dt;
-  sim::StateVector actual = sim::StateVector::basis_state(step.n, 0b0011);
+  sim::StateVector actual = sim::StateVector::basis_state(n, 0b0011);
   actual.apply_circuit(circ);
   return std::abs(ref.inner(actual));
 }
@@ -92,40 +40,32 @@ double fidelity_against_exact(const TrotterStep& step,
 
 int main() {
   bench::Harness h("dynamics");
-  {
-    const TrotterStep step = trotter_blocks(4, 1.0, 4.0, 0.05);
-    int cnots = 0;
-    h.run("trotter_compile/advanced_sort", 3, [&] {
-      Rng rng(3);
-      const auto ordered = core::sort_advanced(step.blocks, rng);
-      cnots = synth::sequence_model_cost(ordered);
-    });
-    h.metric("cnots", cnots);
-  }
+  const std::size_t sites = 4, n = 2 * sites;
+  const pauli::PauliSum hq = transform::LinearEncoding::jordan_wigner(n).map(
+      core::hubbard_chain(sites, 1.0, 4.0));
+  core::TrotterResult trotter;
+  h.run("trotter_compile/advanced_sort", 3,
+        [&] { trotter = core::compile_trotter_step(n, hq, 0.05, 3); });
+  h.metric("cnots", synth::sequence_model_cost(trotter.ordered_blocks));
 
   std::printf("\n# E8 Fermi-Hubbard Trotter step (4 sites, t=1, U=4, dt=0.05)\n");
-  const TrotterStep step = trotter_blocks(4, 1.0, 4.0, 0.05);
-  const auto enc = transform::LinearEncoding::jordan_wigner(step.n);
-  const pauli::PauliSum hq = enc.map(hubbard_hamiltonian(4, 1.0, 4.0));
-
   // Unsorted emission.
   const auto circ_naive =
-      synth::synthesize_sequence(step.n, step.blocks, synth::MergePolicy::kNone);
-  // Sorted emission.
-  Rng rng(3);
-  const auto ordered = core::sort_advanced(step.blocks, rng);
-  const auto circ_sorted = synth::synthesize_sequence(step.n, ordered);
+      synth::synthesize_sequence(n, trotter.blocks, synth::MergePolicy::kNone);
+  const auto& circ_sorted = trotter.step;
 
-  const double fid_naive = fidelity_against_exact(step, circ_naive, hq, 0.05);
-  const double fid_sorted = fidelity_against_exact(step, circ_sorted, hq, 0.05);
+  const double fid_naive =
+      fidelity_against_exact(n, trotter.blocks, circ_naive);
+  const double fid_sorted =
+      fidelity_against_exact(n, trotter.blocks, circ_sorted);
   std::printf("%-22s %8s %10s\n", "variant", "cnots", "fidelity");
   std::printf("%-22s %8d %10.6f\n", "naive order", circ_naive.cnot_count(),
               fid_naive);
   std::printf("%-22s %8d %10.6f\n", "advanced sorting",
               circ_sorted.cnot_count(), fid_sorted);
   std::printf("# model cost sorted: %d (naive %d)\n",
-              synth::sequence_model_cost(ordered),
-              synth::sequence_model_cost(step.blocks));
+              synth::sequence_model_cost(trotter.ordered_blocks),
+              synth::sequence_model_cost(trotter.blocks));
   h.section("trotter_step/summary");
   h.metric("cnots_naive", circ_naive.cnot_count());
   h.metric("cnots_sorted", circ_sorted.cnot_count());

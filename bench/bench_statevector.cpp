@@ -14,7 +14,6 @@
 #include "circuit/quantum_circuit.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "sim/batched.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -173,46 +172,9 @@ int main() {
   const double t_best =
       h.run("kernels/simd_sweep_11q_best", kRepeats, simd_workload);
 
-  // --- batched per-lane Pauli sweep vs per-state loop --------------------
-  // The one-circuit -> B-states VQE shape: 16 parameter vectors advanced
-  // through the same rotation sweep. Per-state pays B full passes; batched
-  // pays one pass over a B-lane-wide array.
-  const std::size_t nb = 10, batch = 16;
-  std::vector<sim::StateVector> lanes;
-  for (std::size_t b = 0; b < batch; ++b) {
-    lanes.emplace_back(nb);
-    randomize(lanes.back(), 100 + static_cast<unsigned>(b));
-  }
-  std::vector<pauli::PauliString> sweep_strings;
-  {
-    Rng srng(31);
-    for (int k = 0; k < 12; ++k) {
-      pauli::PauliString s(nb);
-      for (std::size_t q = 0; q < nb; ++q)
-        s.set_letter(q, static_cast<pauli::Letter>(srng.index(4)));
-      sweep_strings.push_back(std::move(s));
-    }
-  }
-  std::vector<double> lane_angles(batch);
-  for (std::size_t b = 0; b < batch; ++b)
-    lane_angles[b] = 0.05 + 0.03 * static_cast<double>(b);
-  const double t_perstate = h.run("kernels/pauli_sweep_16x10q_perstate",
-                                  kRepeats, [&] {
-    for (int rep = 0; rep < 8; ++rep)
-      for (const auto& s : sweep_strings)
-        for (std::size_t b = 0; b < batch; ++b)
-          lanes[b].apply_pauli_exp(s, lane_angles[b]);
-  });
-  sim::BatchedState bs = sim::BatchedState::from_states(lanes);
-  const double t_batched = h.run("kernels/pauli_sweep_16x10q_batched",
-                                 kRepeats, [&] {
-    for (int rep = 0; rep < 8; ++rep)
-      for (const auto& s : sweep_strings) bs.apply_pauli_exp(s, lane_angles);
-  });
-
-  // --- bit-identity pin: every dispatch level, scalar and batched --------
-  // The contract the SIMD layer is built on: changing the dispatch level or
-  // moving through BatchedState NEVER changes a single amplitude bit.
+  // --- bit-identity pin: every dispatch level ----------------------------
+  // The contract the SIMD layer is built on: changing the dispatch level
+  // NEVER changes a single amplitude bit.
   double bit_identical = 1.0;
   {
     circuit::QuantumCircuit probe(ns);
@@ -246,27 +208,14 @@ int main() {
       if (std::memcmp(level_amps[l].data(), level_amps[0].data(),
                       level_amps[0].size() * sizeof(Complex)) != 0)
         bit_identical = 0.0;
-    std::vector<sim::StateVector> probe_lanes(5, probe_base);
-    sim::BatchedState pbs = sim::BatchedState::from_states(probe_lanes);
-    pbs.apply_circuit(probe);
-    pbs.apply_pauli_exp(ps, 0.321);
-    for (std::size_t b = 0; b < probe_lanes.size(); ++b) {
-      const sim::StateVector got = pbs.lane(b);
-      if (std::memcmp(got.amplitudes().data(), level_amps[0].data(),
-                      level_amps[0].size() * sizeof(Complex)) != 0)
-        bit_identical = 0.0;
-    }
   }
 
   h.section("kernels/simd");
   h.metric("simd_kernel_speedup", t_portable / t_best);
-  h.metric("batched_sweep_speedup", t_perstate / t_batched);
   h.metric("simd_bit_identical", bit_identical);
   h.metric("info_simd_level", static_cast<double>(best));
   std::printf(
-      "simd kernel speedup (%s vs portable): %.2fx, batched sweep: %.2fx, "
-      "bit-identical: %.0f\n",
-      simd::to_string(best), t_portable / t_best, t_perstate / t_batched,
-      bit_identical);
+      "simd kernel speedup (%s vs portable): %.2fx, bit-identical: %.0f\n",
+      simd::to_string(best), t_portable / t_best, bit_identical);
   return h.write_json() ? 0 : 1;
 }

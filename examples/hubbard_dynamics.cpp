@@ -5,13 +5,9 @@
 // occupancy) against a near-exact reference -- showing both the CNOT saving
 // and the physical accuracy of the compiled circuits.
 #include <cstdio>
-#include <vector>
 
-#include "core/rotation_blocks.hpp"
-#include "core/sorting.hpp"
-#include "fermion/operators.hpp"
+#include "core/dynamics.hpp"
 #include "sim/statevector.hpp"
-#include "synth/pauli_exponential.hpp"
 #include "transform/linear_encoding.hpp"
 
 int main() {
@@ -21,41 +17,17 @@ int main() {
   const double t_hop = 1.0, u_int = 4.0, dt = 0.05;
   const int steps = 40;
 
-  // H = -t sum_<ij>,s (c+_is c_js + h.c.) + U sum_i n_iu n_id.
-  fermion::FermionOperator h;
-  for (std::size_t i = 0; i + 1 < sites; ++i)
-    for (int s = 0; s < 2; ++s) {
-      const std::size_t a = 2 * i + static_cast<std::size_t>(s);
-      const std::size_t b = 2 * (i + 1) + static_cast<std::size_t>(s);
-      h.add_term({-t_hop, 0.0}, {{a, true}, {b, false}});
-      h.add_term({-t_hop, 0.0}, {{b, true}, {a, false}});
-    }
-  for (std::size_t i = 0; i < sites; ++i)
-    h.add_term({u_int, 0.0}, {{2 * i, true}, {2 * i, false},
-                              {2 * i + 1, true}, {2 * i + 1, false}});
-
   const auto enc = transform::LinearEncoding::jordan_wigner(n);
-  const pauli::PauliSum hq = enc.map(h);
+  const pauli::PauliSum hq = enc.map(core::hubbard_chain(sites, t_hop, u_int));
 
   // One Trotter step as rotation blocks, sorted by the GTSP engine.
-  std::vector<synth::RotationBlock> blocks;
-  for (const auto& term : hq.terms()) {
-    if (term.string.is_identity_letters()) continue;
-    synth::RotationBlock b;
-    b.string = term.string;
-    b.angle_coeff = 2.0 * term.coefficient.real() * dt;
-    b.target = b.string.support().lowest_set();
-    blocks.push_back(b);
-  }
-  Rng rng(5);
-  const auto ordered = core::sort_advanced(blocks, rng);
+  const core::TrotterResult trotter = core::compile_trotter_step(n, hq, dt, 5);
   const auto step_naive =
-      synth::synthesize_sequence(n, blocks, synth::MergePolicy::kNone);
-  const auto step_sorted = synth::synthesize_sequence(n, ordered);
+      synth::synthesize_sequence(n, trotter.blocks, synth::MergePolicy::kNone);
   std::printf("Fermi-Hubbard %zu sites, t=%.1f U=%.1f dt=%.2f\n", sites,
               t_hop, u_int, dt);
   std::printf("CNOTs per Trotter step: naive %d, advanced sorting %d\n\n",
-              step_naive.cnot_count(), step_sorted.cnot_count());
+              step_naive.cnot_count(), trotter.step.cnot_count());
 
   // Observable: double occupancy on site 0.
   pauli::PauliSum docc = enc.map(fermion::FermionOperator::term(
@@ -72,10 +44,10 @@ int main() {
                   psi.expectation(docc).real(), ref.expectation(docc).real(),
                   std::abs(psi.inner(ref)));
     }
-    psi.apply_circuit(step_sorted);
+    psi.apply_circuit(trotter.step);
     // Reference: 100 fine substeps of the same generator set.
     for (int s = 0; s < 100; ++s)
-      for (const auto& b : blocks)
+      for (const auto& b : trotter.blocks)
         ref.apply_pauli_exp(b.string, b.angle_coeff / 100);
   }
   return 0;

@@ -107,63 +107,6 @@ class QuantumCircuit {
     return out;
   }
 
-  /// OpenQASM 2.0-style dump (for inspection; XX rotations emitted as rxx).
-  [[nodiscard]] std::string to_qasm(const std::vector<double>& params = {}) const {
-    std::string out = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[" +
-                      std::to_string(n_) + "];\n";
-    for (const Gate& g : gates_) {
-      const double angle =
-          g.param >= 0 && static_cast<std::size_t>(g.param) < params.size()
-              ? g.angle * params[g.param]
-              : g.angle;
-      switch (g.kind) {
-        case GateKind::kX: out += "x q[" + std::to_string(g.q0) + "];\n"; break;
-        case GateKind::kY: out += "y q[" + std::to_string(g.q0) + "];\n"; break;
-        case GateKind::kZ: out += "z q[" + std::to_string(g.q0) + "];\n"; break;
-        case GateKind::kH: out += "h q[" + std::to_string(g.q0) + "];\n"; break;
-        case GateKind::kS: out += "s q[" + std::to_string(g.q0) + "];\n"; break;
-        case GateKind::kSdg:
-          out += "sdg q[" + std::to_string(g.q0) + "];\n";
-          break;
-        case GateKind::kRz:
-          out += "rz(" + std::to_string(angle) + ") q[" + std::to_string(g.q0) +
-                 "];\n";
-          break;
-        case GateKind::kRx:
-          out += "rx(" + std::to_string(angle) + ") q[" + std::to_string(g.q0) +
-                 "];\n";
-          break;
-        case GateKind::kRy:
-          out += "ry(" + std::to_string(angle) + ") q[" + std::to_string(g.q0) +
-                 "];\n";
-          break;
-        case GateKind::kCnot:
-          out += "cx q[" + std::to_string(g.q0) + "],q[" +
-                 std::to_string(g.q1) + "];\n";
-          break;
-        case GateKind::kCz:
-          out += "cz q[" + std::to_string(g.q0) + "],q[" +
-                 std::to_string(g.q1) + "];\n";
-          break;
-        case GateKind::kSwap:
-          out += "swap q[" + std::to_string(g.q0) + "],q[" +
-                 std::to_string(g.q1) + "];\n";
-          break;
-        case GateKind::kXXrot:
-          out += "rxx(" + std::to_string(angle) + ") q[" +
-                 std::to_string(g.q0) + "],q[" + std::to_string(g.q1) + "];\n";
-          break;
-        case GateKind::kXYrot:
-          out += "rxx(" + std::to_string(angle) + ") q[" +
-                 std::to_string(g.q0) + "],q[" + std::to_string(g.q1) +
-                 "];\nryy(" + std::to_string(angle) + ") q[" +
-                 std::to_string(g.q0) + "],q[" + std::to_string(g.q1) + "];\n";
-          break;
-      }
-    }
-    return out;
-  }
-
  private:
   std::size_t n_ = 0;
   std::vector<Gate> gates_;

@@ -6,90 +6,60 @@
 // point about extending the framework to dynamics.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "core/compiler.hpp"
-#include "core/rotation_blocks.hpp"
 #include "core/sorting.hpp"
-#include "sim/batched.hpp"
+#include "fermion/operators.hpp"
 #include "synth/pauli_exponential.hpp"
 
 namespace femto::core {
 
-struct TrotterOptions {
-  SortingMode sorting = SortingMode::kAdvanced;
-  opt::GtspOptions gtsp_options{};
-  std::uint64_t seed = 7;
-};
+/// Spinful Fermi-Hubbard chain on `sites` sites, spins interleaved (mode
+/// 2i + s is site i, spin s):
+///   H = -t sum_<ij>,s (c+_is c_js + h.c.) + U sum_i n_iu n_id.
+[[nodiscard]] inline fermion::FermionOperator hubbard_chain(std::size_t sites,
+                                                            double t,
+                                                            double u) {
+  fermion::FermionOperator h;
+  for (std::size_t i = 0; i + 1 < sites; ++i) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      const std::size_t a = 2 * i + s;
+      const std::size_t b = 2 * (i + 1) + s;
+      h.add_term({-t, 0.0}, {{a, true}, {b, false}});
+      h.add_term({-t, 0.0}, {{b, true}, {a, false}});
+    }
+  }
+  for (std::size_t i = 0; i < sites; ++i) {
+    h.add_term({u, 0.0}, {{2 * i, true}, {2 * i, false}, {2 * i + 1, true},
+                          {2 * i + 1, false}});
+  }
+  return h;
+}
 
 struct TrotterResult {
-  circuit::QuantumCircuit step;   // one Trotter step
-  int model_cnots = 0;            // cost-model count of the sorted order
-  int naive_cnots = 0;            // unsorted, unmerged emission
-  std::vector<synth::RotationBlock> ordered_blocks;
+  std::vector<synth::RotationBlock> blocks;          // Hamiltonian order
+  std::vector<synth::RotationBlock> ordered_blocks;  // advanced sorting
+  circuit::QuantumCircuit step;  // one Trotter step, ordered_blocks emitted
 };
 
-/// Second-order (symmetric Suzuki) Trotter step: half step forward, half
-/// step in reversed order. Error O(dt^3) per step versus O(dt^2) for first
-/// order; the reversed half reuses the same sorted sequence, so the CNOT
-/// cost is at most twice the first-order step minus the shared interface.
-[[nodiscard]] inline circuit::QuantumCircuit second_order_step(
-    std::size_t n, const std::vector<synth::RotationBlock>& ordered) {
-  std::vector<synth::RotationBlock> sym;
-  sym.reserve(2 * ordered.size());
-  for (const auto& b : ordered) {
-    sym.push_back(b);
-    sym.back().angle_coeff *= 0.5;
-  }
-  for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) {
-    sym.push_back(*it);
-    sym.back().angle_coeff *= 0.5;
-  }
-  return synth::synthesize_sequence(n, sym);
-}
-
-/// Advances a batch of initial states through `num_steps` repetitions of a
-/// compiled Trotter step -- the one-circuit -> B-states case batched
-/// simulation exists for (e.g. evolving an ensemble of product states or
-/// perturbed references under the same dynamics). Amplitudes are
-/// bit-identical to evolving each state through sim::StateVector.
-[[nodiscard]] inline sim::BatchedState evolve_states(
-    const circuit::QuantumCircuit& step, std::size_t num_steps,
-    sim::BatchedState state) {
-  for (std::size_t s = 0; s < num_steps; ++s) state.apply_circuit(step);
-  return state;
-}
-
-/// Compiles one Trotter step for a Hermitian PauliSum Hamiltonian.
+/// Compiles one Trotter step for a Hermitian PauliSum Hamiltonian: one
+/// block exp(-i dt c P) per non-identity term, sorted on Rng(seed).
 [[nodiscard]] inline TrotterResult compile_trotter_step(
     std::size_t n, const pauli::PauliSum& hamiltonian, double dt,
-    const TrotterOptions& options = {}) {
-  std::vector<synth::RotationBlock> blocks;
+    std::uint64_t seed) {
+  TrotterResult result;
   for (const pauli::PauliTerm& term : hamiltonian.terms()) {
     if (term.string.is_identity_letters()) continue;  // global phase
     FEMTO_EXPECTS(std::abs(term.coefficient.imag()) < 1e-10);
     synth::RotationBlock b;
     b.string = term.string;
     b.angle_coeff = 2.0 * term.coefficient.real() * dt;
-    b.param = -1;
     b.target = b.string.support().lowest_set();
-    blocks.push_back(std::move(b));
+    result.blocks.push_back(std::move(b));
   }
-  TrotterResult result;
-  result.naive_cnots =
-      synth::synthesize_sequence(n, blocks, synth::MergePolicy::kNone)
-          .cnot_count();
-  Rng rng(options.seed);
-  switch (options.sorting) {
-    case SortingMode::kAdvanced:
-      result.ordered_blocks = sort_advanced(blocks, rng, options.gtsp_options);
-      break;
-    case SortingMode::kBaseline:
-    case SortingMode::kNone:
-      result.ordered_blocks = blocks;
-      break;
-  }
-  result.model_cnots = synth::sequence_model_cost(result.ordered_blocks);
+  Rng rng(seed);
+  result.ordered_blocks = sort_advanced(result.blocks, rng);
   result.step = synth::synthesize_sequence(n, result.ordered_blocks);
   return result;
 }

@@ -124,23 +124,4 @@ struct HybridPlan {
   return out;
 }
 
-/// Of the compressed pairs, those later touched *individually* by any
-/// fermionic-segment term; each costs one decompression CNOT (the
-/// compression itself is free from a basis state, and untouched pairs stay
-/// compressed through measurement).
-[[nodiscard]] inline std::vector<std::size_t> pairs_needing_decompression(
-    const std::vector<fermion::ExcitationTerm>& terms, const HybridPlan& plan) {
-  const std::vector<std::size_t> pairs = compressed_pairs(terms, plan);
-  std::vector<std::size_t> out;
-  for (std::size_t lo : pairs) {
-    bool touched = false;
-    for (std::size_t i : plan.fermionic) {
-      for (std::size_t idx : terms[i].support())
-        if (idx == lo || idx == lo + 1) touched = true;
-    }
-    if (touched) out.push_back(lo);
-  }
-  return out;
-}
-
 }  // namespace femto::encoding

@@ -32,9 +32,6 @@
 //                                     beyond the first
 //              service.reconnects     client connections re-established
 //                                     after a transport fault
-//              sim.batched_states_applied
-//                                     states advanced by BatchedState ops
-//                                     (batch size per gate/circuit/sweep)
 //   gauges     service.queue_depth    live admission-queue length
 //              service.in_flight      submitted tickets not yet terminal
 //              service.degraded       1 once a service entered degraded

@@ -373,7 +373,6 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   // segment.
   obs::Span span("gtsp_ga", "solver");
   span.arg("clusters", m);
-  span.arg("generations", options.generations);
   span.arg("population", options.population);
   static obs::Counter& solves =
       obs::registry().counter("solver.gtsp_solves");
@@ -384,6 +383,7 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
   GtspWorkspace local;
   GtspWorkspace& ws = workspace != nullptr ? *workspace : local;
   if (m == 1) {
+    span.arg("generations", 0);
     const std::size_t order0 = 0;
     return detail::cluster_dp(inst, &order0, 1, ws);
   }
@@ -464,6 +464,7 @@ inline void greedy_seed_into(const GtspDense& inst, std::size_t start,
     std::swap(ws.fitness, ws.next_fitness);
   }
   generations.inc(static_cast<std::uint64_t>(gen));
+  span.arg("generations", gen);
   for (std::size_t i = 0; i < pop_size; ++i)
     if (ws.fitness[i] > best_fit) {
       best_fit = ws.fitness[i];

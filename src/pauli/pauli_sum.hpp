@@ -99,13 +99,6 @@ class PauliSum {
       index_.emplace(terms_[i].string, i);
   }
 
-  /// Coefficient of the identity string (0 if absent).
-  [[nodiscard]] Complex identity_coefficient() const {
-    for (const PauliTerm& t : terms_)
-      if (t.string.is_identity_letters()) return t.coefficient;
-    return {0.0, 0.0};
-  }
-
   [[nodiscard]] std::string to_string() const {
     std::string out;
     for (const PauliTerm& t : terms_) {

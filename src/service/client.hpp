@@ -243,7 +243,6 @@ class CompileClient {
       : socket_path_(std::move(socket_path)), policy_(policy) {}
 
   [[nodiscard]] ClientConnection& connection() { return conn_; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return policy_; }
 
   /// Explicit (re)connect for clients built from a socket path; "" on
   /// success. compile_retry also connects lazily -- this is for ops that

@@ -137,42 +137,6 @@ FEMTO_SIMD_REF inline void axpy_portable(Complex* out, const Complex* src, std::
   for (std::size_t i = 0; i < count; ++i) out[i] += w * src[i];
 }
 
-// Per-lane variants for the batched API: the coefficient differs per
-// complex element and arrives as lane-DUPLICATED double arrays of length
-// 2*count ([c0, c0, c1, c1, ...]) so vector loads line up with the
-// interleaved amplitudes. The si==0 branch of scale becomes a per-element
-// select so a lane with a purely real factor multiplies exactly like the
-// shared-kernel fast path would.
-
-FEMTO_SIMD_REF inline void scale_lanes_portable(double* d, std::size_t count,
-                                 const double* frd, const double* fid) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const double sr = frd[2 * i], si = fid[2 * i];
-    const double x = d[2 * i], y = d[2 * i + 1];
-    if (si == 0.0) {
-      d[2 * i] = x * sr;
-      d[2 * i + 1] = y * sr;
-    } else {
-      d[2 * i] = x * sr - y * si;
-      d[2 * i + 1] = x * si + y * sr;
-    }
-  }
-}
-
-FEMTO_SIMD_REF inline void rot2_lanes_portable(Complex* p, Complex* q, std::size_t count,
-                                const double* cd, const double* ur,
-                                const double* ui, const double* vr,
-                                const double* vi) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const double c = cd[2 * i];
-    const Complex u{ur[2 * i], ui[2 * i]};
-    const Complex v{vr[2 * i], vi[2 * i]};
-    const Complex pi = p[i], qi = q[i];
-    p[i] = c * pi + u * qi;
-    q[i] = c * qi + v * pi;
-  }
-}
-
 #if FEMTO_SIMD_X86
 
 // ---- AVX2 (2 complex per 256-bit vector) ---------------------------------
@@ -334,46 +298,6 @@ __attribute__((target("avx2"))) inline void axpy_avx2(Complex* out,
     _mm256_storeu_pd(po + 2 * i, _mm256_add_pd(vo, cmul_avx2(vs, wr, wi)));
   }
   axpy_portable(out + i, src + i, count - i, w);
-}
-
-__attribute__((target("avx2"))) inline void scale_lanes_avx2(
-    double* d, std::size_t count, const double* frd, const double* fid) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m256d v = _mm256_loadu_pd(d + 2 * i);
-    const __m256d vr = _mm256_loadu_pd(frd + 2 * i);
-    const __m256d vi = _mm256_loadu_pd(fid + 2 * i);
-    const __m256d full = cmul_avx2(v, vr, vi);
-    const __m256d real_only = _mm256_mul_pd(v, vr);
-    // Per-element select reproduces the si==0 fast path of scale().
-    const __m256d is_real = _mm256_cmp_pd(vi, zero, _CMP_EQ_OQ);
-    _mm256_storeu_pd(d + 2 * i, _mm256_blendv_pd(full, real_only, is_real));
-  }
-  scale_lanes_portable(d + 2 * i, count - i, frd + 2 * i, fid + 2 * i);
-}
-
-__attribute__((target("avx2"))) inline void rot2_lanes_avx2(
-    Complex* p, Complex* q, std::size_t count, const double* cd,
-    const double* ur, const double* ui, const double* vr, const double* vi) {
-  double* pp = reinterpret_cast<double*>(p);
-  double* pq = reinterpret_cast<double*>(q);
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m256d vp = _mm256_loadu_pd(pp + 2 * i);
-    const __m256d vq = _mm256_loadu_pd(pq + 2 * i);
-    const __m256d vc = _mm256_loadu_pd(cd + 2 * i);
-    const __m256d vur = _mm256_loadu_pd(ur + 2 * i);
-    const __m256d vui = _mm256_loadu_pd(ui + 2 * i);
-    const __m256d vvr = _mm256_loadu_pd(vr + 2 * i);
-    const __m256d vvi = _mm256_loadu_pd(vi + 2 * i);
-    _mm256_storeu_pd(pp + 2 * i, _mm256_add_pd(_mm256_mul_pd(vc, vp),
-                                               cmul_avx2(vq, vur, vui)));
-    _mm256_storeu_pd(pq + 2 * i, _mm256_add_pd(_mm256_mul_pd(vc, vq),
-                                               cmul_avx2(vp, vvr, vvi)));
-  }
-  rot2_lanes_portable(p + i, q + i, count - i, cd + 2 * i, ur + 2 * i,
-                      ui + 2 * i, vr + 2 * i, vi + 2 * i);
 }
 
 // ---- AVX-512 (4 complex per 512-bit vector) ------------------------------
@@ -550,47 +474,6 @@ FEMTO_TARGET_AVX512 inline void axpy_avx512(Complex* out, const Complex* src,
   axpy_portable(out + i, src + i, count - i, w);
 }
 
-FEMTO_TARGET_AVX512 inline void scale_lanes_avx512(double* d,
-                                                   std::size_t count,
-                                                   const double* frd,
-                                                   const double* fid) {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m512d v = _mm512_loadu_pd(d + 2 * i);
-    const __m512d vr = _mm512_loadu_pd(frd + 2 * i);
-    const __m512d vi = _mm512_loadu_pd(fid + 2 * i);
-    const __m512d full = cmul_avx512(v, vr, vi);
-    const __m512d real_only = _mm512_mul_pd(v, vr);
-    const __mmask8 is_real = _mm512_cmp_pd_mask(vi, zero, _CMP_EQ_OQ);
-    _mm512_storeu_pd(d + 2 * i, _mm512_mask_mov_pd(full, is_real, real_only));
-  }
-  scale_lanes_portable(d + 2 * i, count - i, frd + 2 * i, fid + 2 * i);
-}
-
-FEMTO_TARGET_AVX512 inline void rot2_lanes_avx512(
-    Complex* p, Complex* q, std::size_t count, const double* cd,
-    const double* ur, const double* ui, const double* vr, const double* vi) {
-  double* pp = reinterpret_cast<double*>(p);
-  double* pq = reinterpret_cast<double*>(q);
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m512d vp = _mm512_loadu_pd(pp + 2 * i);
-    const __m512d vq = _mm512_loadu_pd(pq + 2 * i);
-    const __m512d vc = _mm512_loadu_pd(cd + 2 * i);
-    const __m512d vur = _mm512_loadu_pd(ur + 2 * i);
-    const __m512d vui = _mm512_loadu_pd(ui + 2 * i);
-    const __m512d vvr = _mm512_loadu_pd(vr + 2 * i);
-    const __m512d vvi = _mm512_loadu_pd(vi + 2 * i);
-    _mm512_storeu_pd(pp + 2 * i, _mm512_add_pd(_mm512_mul_pd(vc, vp),
-                                               cmul_avx512(vq, vur, vui)));
-    _mm512_storeu_pd(pq + 2 * i, _mm512_add_pd(_mm512_mul_pd(vc, vq),
-                                               cmul_avx512(vp, vvr, vvi)));
-  }
-  rot2_lanes_portable(p + i, q + i, count - i, cd + 2 * i, ur + 2 * i,
-                      ui + 2 * i, vr + 2 * i, vi + 2 * i);
-}
-
 #undef FEMTO_TARGET_AVX512
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -742,46 +625,6 @@ inline void axpy(Complex* out, const Complex* src, std::size_t count,
   }
 #endif
   detail::axpy_portable(out, src, count, w);
-}
-
-/// Per-lane complex scale: element i is multiplied by (frd[2i] + i*fid[2i]).
-/// Coefficient arrays are lane-duplicated ([c0, c0, c1, c1, ...]).
-inline void scale_lanes(double* d, std::size_t count, const double* frd,
-                        const double* fid) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      detail::scale_lanes_avx512(d, count, frd, fid);
-      return;
-    case simd::Level::kAvx2:
-      detail::scale_lanes_avx2(d, count, frd, fid);
-      return;
-    default:
-      break;
-  }
-#endif
-  detail::scale_lanes_portable(d, count, frd, fid);
-}
-
-/// Per-lane two-plane rotation (lane-duplicated coefficient arrays, as in
-/// scale_lanes): p[i] <- cd[i]*p[i] + u[i]*q[i], q[i] <- cd[i]*q[i] +
-/// v[i]*p_old[i].
-inline void rot2_lanes(Complex* p, Complex* q, std::size_t count,
-                       const double* cd, const double* ur, const double* ui,
-                       const double* vr, const double* vi) {
-#if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-      detail::rot2_lanes_avx512(p, q, count, cd, ur, ui, vr, vi);
-      return;
-    case simd::Level::kAvx2:
-      detail::rot2_lanes_avx2(p, q, count, cd, ur, ui, vr, vi);
-      return;
-    default:
-      break;
-  }
-#endif
-  detail::rot2_lanes_portable(p, q, count, cd, ur, ui, vr, vi);
 }
 
 }  // namespace runs

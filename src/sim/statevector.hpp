@@ -9,14 +9,6 @@
 // sim/kernels.hpp: pairs are enumerated directly (no branch-in-loop over all
 // 2^n indices), diagonal gates fuse into streaming passes, and consecutive
 // diagonal gates on one qubit collapse into a single pass in apply_circuit.
-//
-// The gate/circuit dispatchers live in sim::detail as free functions over a
-// raw amplitude array with a QUBIT SHIFT: gate qubit q acts on bit q + shift
-// of the index. StateVector calls them with shift = 0; BatchedState
-// (sim/batched.hpp) calls the very same code with shift = log2(batch lanes)
-// to apply one circuit across a whole lane-interleaved batch -- which is
-// what makes batched results bit-identical to the per-state path by
-// construction.
 #pragma once
 
 #include <complex>
@@ -64,16 +56,13 @@ namespace detail {
   return {{1.0, 0.0}, {1.0, 0.0}};
 }
 
-/// Packed masks of a string, with its bits shifted up by `shift` index bits
-/// (n + shift <= 64). Shifting x and z together preserves every per-index
-/// popcount parity on the shifted index, so the same masks drive per-state
-/// (shift 0) and lane-interleaved batched application.
-[[nodiscard]] inline kernels::PauliMasks make_masks(const pauli::PauliString& p,
-                                                    std::size_t shift = 0) {
-  FEMTO_EXPECTS(p.num_qubits() + shift <= 64);
+/// Packed masks of a string (n <= 64).
+[[nodiscard]] inline kernels::PauliMasks make_masks(
+    const pauli::PauliString& p) {
+  FEMTO_EXPECTS(p.num_qubits() <= 64);
   kernels::PauliMasks m;
-  m.x = p.x().mask64() << shift;
-  m.z = p.z().mask64() << shift;
+  m.x = p.x().mask64();
+  m.z = p.z().mask64();
   switch (std::popcount(m.x & m.z) & 3) {
     case 1: m.y_factor = Complex(0, 1); break;
     case 2: m.y_factor = Complex(-1, 0); break;
@@ -83,14 +72,12 @@ namespace detail {
   return m;
 }
 
-/// Applies one gate to a raw amplitude array of size `dim`, acting on index
-/// bit g.q + shift.
-inline void apply_gate_raw(Complex* a, std::size_t dim, std::size_t shift,
-                           const circuit::Gate& g,
+/// Applies one gate to a raw amplitude array of size `dim`.
+inline void apply_gate_raw(Complex* a, std::size_t dim, const circuit::Gate& g,
                            std::span<const double> params) {
   using circuit::GateKind;
-  const std::size_t q0 = g.q0 + shift;
-  const std::size_t q1 = g.q1 + shift;
+  const std::size_t q0 = g.q0;
+  const std::size_t q1 = g.q1;
   FEMTO_EXPECTS((std::size_t{1} << q0) < dim);
   const double angle = detail::resolved_angle(g, params);
   const double half = angle / 2;
@@ -133,7 +120,7 @@ inline void apply_gate_raw(Complex* a, std::size_t dim, std::size_t shift,
 
 /// Applies a whole circuit, fusing runs of consecutive single-qubit diagonal
 /// gates on one qubit into a single streaming pass.
-inline void apply_circuit_raw(Complex* a, std::size_t dim, std::size_t shift,
+inline void apply_circuit_raw(Complex* a, std::size_t dim,
                               const circuit::QuantumCircuit& c,
                               std::span<const double> params) {
   const auto& gates = c.gates();
@@ -148,10 +135,10 @@ inline void apply_circuit_raw(Complex* a, std::size_t dim, std::size_t shift,
         d0 *= e0;
         d1 *= e1;
       }
-      kernels::apply_diag1(a, dim, g.q0 + shift, d0, d1);
+      kernels::apply_diag1(a, dim, g.q0, d0, d1);
       continue;
     }
-    apply_gate_raw(a, dim, shift, g, params);
+    apply_gate_raw(a, dim, g, params);
   }
 }
 
@@ -227,13 +214,13 @@ class StateVector {
   void apply_gate(const circuit::Gate& g,
                   std::span<const double> params = {}) {
     FEMTO_EXPECTS(g.q0 < n_ && (!g.two_qubit() || g.q1 < n_));
-    detail::apply_gate_raw(amps_.data(), amps_.size(), 0, g, params);
+    detail::apply_gate_raw(amps_.data(), amps_.size(), g, params);
   }
 
   void apply_circuit(const circuit::QuantumCircuit& c,
                      std::span<const double> params = {}) {
     FEMTO_EXPECTS(c.num_qubits() <= n_);
-    detail::apply_circuit_raw(amps_.data(), amps_.size(), 0, c, params);
+    detail::apply_circuit_raw(amps_.data(), amps_.size(), c, params);
   }
 
   // --- Pauli strings ---------------------------------------------------

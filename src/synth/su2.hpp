@@ -22,7 +22,6 @@ struct Mat2 {
     const double s = 1.0 / std::sqrt(2.0);
     return {{s, s, s, -s}};
   }
-  [[nodiscard]] static Mat2 s_gate() { return {{1, 0, 0, Complex(0, 1)}}; }
   [[nodiscard]] static Mat2 sdg_gate() { return {{1, 0, 0, Complex(0, -1)}}; }
 
   [[nodiscard]] friend Mat2 operator*(const Mat2& a, const Mat2& b) {

@@ -9,11 +9,9 @@
 #pragma once
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "pauli/pauli_sum.hpp"
-#include "sim/batched.hpp"
 #include "sim/statevector.hpp"
 
 namespace femto::vqe {
@@ -59,35 +57,6 @@ inline void apply_generator_exp(sim::StateVector& sv,
 [[nodiscard]] inline double energy(const VqeProblem& prob,
                                    const std::vector<double>& theta) {
   return prepare_state(prob, theta).expectation(prob.hamiltonian).real();
-}
-
-/// B energies for B parameter vectors in one batched sweep: all states
-/// advance together through sim::BatchedState with per-lane rotation
-/// angles, then the expectations come out per lane. Bit-identical to
-/// calling energy() per theta (the per-lane kernels reproduce the
-/// per-state arithmetic exactly); the win is one pass over one contiguous
-/// buffer per generator term instead of B passes over B buffers.
-[[nodiscard]] inline std::vector<double> energies(
-    const VqeProblem& prob, std::span<const std::vector<double>> thetas) {
-  FEMTO_EXPECTS(!thetas.empty());
-  const std::size_t batch = thetas.size();
-  for (const std::vector<double>& t : thetas)
-    FEMTO_EXPECTS(t.size() == prob.generators.size());
-  sim::BatchedState bs = sim::BatchedState::basis_state(
-      prob.num_qubits, batch, prob.reference_index);
-  std::vector<double> angles(batch);
-  for (std::size_t k = 0; k < prob.generators.size(); ++k) {
-    for (const pauli::PauliTerm& t : prob.generators[k].terms()) {
-      FEMTO_EXPECTS(std::abs(t.coefficient.real()) < 1e-10);
-      for (std::size_t b = 0; b < batch; ++b)
-        angles[b] = -2.0 * t.coefficient.imag() * thetas[b][k];
-      bs.apply_pauli_exp(t.string, angles);
-    }
-  }
-  const std::vector<sim::Complex> exps = bs.expectations(prob.hamiltonian);
-  std::vector<double> out(batch);
-  for (std::size_t b = 0; b < batch; ++b) out[b] = exps[b].real();
-  return out;
 }
 
 /// Energy and exact gradient via one adjoint sweep:

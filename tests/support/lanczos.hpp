@@ -4,6 +4,8 @@
 // against the determinant-basis FCI solver in chem/ (two independent code
 // paths arriving at the same ground-state energy is one of the strongest
 // integration tests in the suite).
+//
+// Test-only: nothing in src/ includes this file.
 #pragma once
 
 #include <algorithm>
@@ -13,7 +15,10 @@
 #include "common/rng.hpp"
 #include "sim/statevector.hpp"
 
-namespace femto::sim {
+namespace femto::oracle {
+
+using sim::Complex;
+using sim::StateVector;
 
 struct LanczosResult {
   double ground_energy = 0.0;
@@ -111,4 +116,4 @@ struct LanczosResult {
   return result;
 }
 
-}  // namespace femto::sim
+}  // namespace femto::oracle

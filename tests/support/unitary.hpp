@@ -2,13 +2,18 @@
 //
 // Used by tests to prove that synthesized/optimized circuits implement the
 // same unitary as reference constructions, up to global phase.
+//
+// Test-only: nothing in src/ includes this file.
 #pragma once
 
 #include <vector>
 
 #include "sim/statevector.hpp"
 
-namespace femto::sim {
+namespace femto::oracle {
+
+using sim::Complex;
+using sim::StateVector;
 
 /// Column-major unitary of a circuit: column k = circuit applied to |k>.
 [[nodiscard]] inline std::vector<std::vector<Complex>> circuit_unitary(
@@ -60,4 +65,4 @@ namespace femto::sim {
                                       circuit_unitary(b, params)) < tol;
 }
 
-}  // namespace femto::sim
+}  // namespace femto::oracle

@@ -11,7 +11,7 @@
 #include "chem/mo_integrals.hpp"
 #include "chem/molecules.hpp"
 #include "chem/scf.hpp"
-#include "sim/lanczos.hpp"
+#include "support/lanczos.hpp"
 #include "transform/linear_encoding.hpp"
 
 namespace femto::chem {
@@ -174,7 +174,7 @@ TEST(Fci, MatchesQubitLanczosForH2) {
   // the N=2 sector for this Hamiltonian).
   const fermion::FermionOperator h = build_hamiltonian(so);
   const auto enc = transform::LinearEncoding::jordan_wigner(so.n);
-  const auto res = sim::lanczos_ground_energy(enc.map(h), so.n);
+  const auto res = oracle::lanczos_ground_energy(enc.map(h), so.n);
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(res.ground_energy, fci.energy, 1e-6);
 }
@@ -199,7 +199,7 @@ TEST(Fci, MatchesQubitLanczosForLih) {
   const fermion::FermionOperator h =
       build_hamiltonian(so) + pauli::Complex(2.0, 0.0) * (dev * dev);
   const auto enc = transform::LinearEncoding::bravyi_kitaev(so.n);
-  const auto res = sim::lanczos_ground_energy(enc.map(h), so.n, 300);
+  const auto res = oracle::lanczos_ground_energy(enc.map(h), so.n, 300);
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(res.ground_energy, fci.energy, 1e-6);
 }

@@ -4,7 +4,7 @@
 #include "circuit/peephole.hpp"
 #include "circuit/quantum_circuit.hpp"
 #include "common/rng.hpp"
-#include "sim/unitary.hpp"
+#include "support/unitary.hpp"
 #include "verify/equivalence.hpp"
 
 namespace femto::circuit {
@@ -46,7 +46,7 @@ TEST(QuantumCircuit, InverseIsInverse) {
   QuantumCircuit id(3);
   QuantumCircuit both = c;
   both.append(c.inverse());
-  EXPECT_TRUE(sim::circuits_equivalent(both, id));
+  EXPECT_TRUE(oracle::circuits_equivalent(both, id));
 }
 
 TEST(Peephole, CancelsInversePairs) {
@@ -130,7 +130,7 @@ TEST(Peephole, PreservesUnitaryOnRandomCircuits) {
     }
     const QuantumCircuit opt = peephole_optimize(c);
     EXPECT_LE(opt.size(), c.size());
-    EXPECT_TRUE(sim::circuits_equivalent(c, opt))
+    EXPECT_TRUE(oracle::circuits_equivalent(c, opt))
         << "rep " << rep << "\noriginal:\n" << c.to_string()
         << "optimized:\n" << opt.to_string();
   }

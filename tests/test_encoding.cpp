@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "core/compiler.hpp"
 #include "encoding/compressed_ops.hpp"
 #include "encoding/hybrid_plan.hpp"
 #include "sim/statevector.hpp"
@@ -82,6 +83,16 @@ TEST(HybridPlan, BosonicAndFermionicClassifiedOut) {
   EXPECT_EQ(plan.fermionic.size(), 2u);
 }
 
+/// Low index of each pair the compiler's decompression schedule opens, in
+/// schedule order.
+[[nodiscard]] std::vector<std::size_t> pairs_opened(
+    const std::vector<ExcitationTerm>& terms, const HybridPlan& plan) {
+  std::vector<std::size_t> lows;
+  for (const auto& e : core::detail::decompression_schedule(terms, plan))
+    lows.push_back(e.low);
+  return lows;
+}
+
 TEST(CompressedPairs, TracksPairsAndDecompression) {
   std::vector<ExcitationTerm> terms = {
       ExcitationTerm::make_double(4, 5, 0, 1),  // bosonic: pairs (4,5),(0,1)
@@ -93,10 +104,15 @@ TEST(CompressedPairs, TracksPairsAndDecompression) {
   const auto pairs = compressed_pairs(terms, plan);
   // Pairs 4, 0, 6 (low indices).
   EXPECT_EQ(pairs.size(), 3u);
-  const auto decomp = pairs_needing_decompression(terms, plan);
-  // The fermionic term acts on 4, 6, 0, 2 individually: pairs (4,5), (6,7)
-  // and (0,1) all touched.
-  EXPECT_EQ(decomp.size(), 3u);
+  // The hybrid term acts on qubit 0 on its own and opens pair (0,1); the
+  // fermionic term acts on 4, 6, 0, 2 individually and opens (4,5), (6,7).
+  EXPECT_EQ(pairs_opened(terms, plan), (std::vector<std::size_t>{0, 4, 6}));
+
+  // Without the fermionic term the hybrid term still opens pair (0,1).
+  terms.pop_back();
+  Rng rng2(1);
+  EXPECT_EQ(pairs_opened(terms, plan_hybrid_encoding(terms, rng2)),
+            (std::vector<std::size_t>{0}));
 }
 
 TEST(CompressedOps, ReduceDeletesPairZZ) {

@@ -1,164 +1,14 @@
-// Tests for the extension modules: ternary-tree transform, measurement
-// grouping / shot-based estimation, the Trotter-step compiler, and
+// Tests for the extension modules: the Trotter-step compiler and
 // reference-state preparation.
 #include <gtest/gtest.h>
 
-#include "chem/fci.hpp"
-#include "chem/integrals.hpp"
-#include "chem/molecules.hpp"
-#include "chem/mo_integrals.hpp"
-#include "chem/scf.hpp"
 #include "core/compiler.hpp"
 #include "core/dynamics.hpp"
-#include "core/sorting.hpp"
-#include "vqe/qcc.hpp"
-#include "vqe/uccsd.hpp"
-#include "sim/lanczos.hpp"
 #include "sim/statevector.hpp"
 #include "transform/linear_encoding.hpp"
-#include "transform/ternary_tree.hpp"
-#include "vqe/measurement.hpp"
 
 namespace femto {
 namespace {
-
-using fermion::FermionOperator;
-
-// ---------------------------------------------------------------- ternary
-
-class TernaryTreeProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(TernaryTreeProperty, MajoranasAntiCommute) {
-  const std::size_t n = GetParam();
-  const transform::TernaryTree tt(n);
-  for (std::size_t a = 0; a < 2 * n; ++a) {
-    EXPECT_TRUE(tt.majorana(a).is_hermitian());
-    for (std::size_t b = 0; b < 2 * n; ++b) {
-      if (a == b) continue;
-      EXPECT_FALSE(tt.majorana(a).commutes_with(tt.majorana(b)))
-          << "gamma_" << a << " vs gamma_" << b;
-    }
-  }
-}
-
-TEST_P(TernaryTreeProperty, CanonicalAnticommutationRelations) {
-  const std::size_t n = GetParam();
-  const transform::TernaryTree tt(n);
-  const auto max_coeff = [](const pauli::PauliSum& s) {
-    double m = 0;
-    for (const auto& t : s.terms()) m = std::max(m, std::abs(t.coefficient));
-    return m;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const FermionOperator ai = FermionOperator::ladder(i, false);
-      const FermionOperator adj = FermionOperator::ladder(j, true);
-      pauli::PauliSum anti = tt.map(ai * adj + adj * ai);
-      anti.add({i == j ? -1.0 : 0.0}, pauli::PauliString::identity(n));
-      anti.prune();
-      EXPECT_LT(max_coeff(anti), 1e-12) << i << "," << j;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, TernaryTreeProperty,
-                         ::testing::Values(1, 2, 4, 5, 8));
-
-TEST(TernaryTree, WeightBeatsJordanWignerOnAverage) {
-  const std::size_t n = 13;  // full ternary tree of depth 2 + change
-  const transform::TernaryTree tt(n);
-  const auto jw = transform::LinearEncoding::jordan_wigner(n);
-  double w_tt = 0, w_jw = 0;
-  for (std::size_t mode = 0; mode < n; ++mode) {
-    // Bind the sums to locals: ranged-for over a temporary's .terms() would
-    // dangle (the temporary is not lifetime-extended through the accessor).
-    const pauli::PauliSum lad_tt = tt.ladder(mode, false);
-    const pauli::PauliSum lad_jw = transform::jw_ladder(n, mode, false);
-    for (const auto& t : lad_tt.terms())
-      w_tt += static_cast<double>(t.string.weight());
-    for (const auto& t : lad_jw.terms())
-      w_jw += static_cast<double>(t.string.weight());
-    (void)jw;
-  }
-  EXPECT_LT(w_tt, w_jw);
-}
-
-TEST(TernaryTree, SpectrumMatchesJordanWigner) {
-  // A small interacting Hamiltonian must have the same ground energy under
-  // the ternary tree as under JW (both are exact encodings).
-  const std::size_t n = 4;
-  FermionOperator h;
-  const double eps[4] = {-1.0, -0.4, 0.3, 0.9};
-  for (std::size_t i = 0; i < n; ++i)
-    h = h + eps[i] * (FermionOperator::ladder(i, true) *
-                      FermionOperator::ladder(i, false));
-  const FermionOperator exc = FermionOperator::term(
-      {0.4, 0.0}, {{0, true}, {1, true}, {2, false}, {3, false}});
-  h = h + exc + exc.adjoint();
-  const transform::TernaryTree tt(n);
-  const auto jw = transform::LinearEncoding::jordan_wigner(n);
-  const double e_tt = sim::lanczos_ground_energy(tt.map(h), n).ground_energy;
-  const double e_jw = sim::lanczos_ground_energy(jw.map(h), n).ground_energy;
-  EXPECT_NEAR(e_tt, e_jw, 1e-8);
-}
-
-// ------------------------------------------------------------ measurement
-
-TEST(Measurement, QubitWiseCommutePredicate) {
-  using pauli::PauliString;
-  EXPECT_TRUE(vqe::qubit_wise_commute(PauliString::from_string("XIZ"),
-                                      PauliString::from_string("XZI")));
-  EXPECT_TRUE(vqe::qubit_wise_commute(PauliString::from_string("III"),
-                                      PauliString::from_string("XYZ")));
-  EXPECT_FALSE(vqe::qubit_wise_commute(PauliString::from_string("XIZ"),
-                                       PauliString::from_string("ZIZ")));
-}
-
-TEST(Measurement, GroupsAreValidAndCoverAllTerms) {
-  const auto mol = chem::make_h2(1.4);
-  auto basis = chem::build_sto3g(mol);
-  chem::normalize_basis(basis);
-  const auto ints = chem::compute_integrals(mol, basis);
-  const auto scf = chem::run_rhf(mol, ints);
-  const auto so = chem::to_spin_orbitals(chem::transform_to_mo(mol, ints, scf));
-  const auto hq = transform::LinearEncoding::jordan_wigner(so.n).map(
-      chem::build_hamiltonian(so));
-  Rng rng(5);
-  const auto mg = vqe::group_commuting_terms(hq, rng);
-  std::size_t covered = 0;
-  for (std::size_t g = 0; g < mg.groups.size(); ++g) {
-    covered += mg.groups[g].size();
-    for (std::size_t a : mg.groups[g])
-      for (std::size_t b : mg.groups[g])
-        EXPECT_TRUE(vqe::qubit_wise_commute(hq.terms()[a].string,
-                                            hq.terms()[b].string));
-  }
-  EXPECT_EQ(covered, hq.size());
-  // Grouping must beat one-setting-per-term.
-  EXPECT_LT(mg.groups.size(), hq.size());
-}
-
-TEST(Measurement, SampledExpectationConvergesToExact) {
-  const auto mol = chem::make_h2(1.4);
-  auto basis = chem::build_sto3g(mol);
-  chem::normalize_basis(basis);
-  const auto ints = chem::compute_integrals(mol, basis);
-  const auto scf = chem::run_rhf(mol, ints);
-  const auto so = chem::to_spin_orbitals(chem::transform_to_mo(mol, ints, scf));
-  const auto hq = transform::LinearEncoding::jordan_wigner(so.n).map(
-      chem::build_hamiltonian(so));
-  // A correlated state: HF plus the double excitation partially applied.
-  sim::StateVector psi = sim::StateVector::basis_state(so.n, 0b0011);
-  psi.apply_pauli_exp(pauli::PauliString::from_string("YXXX"), 0.4);
-  const double exact = psi.expectation(hq).real();
-  Rng rng(11);
-  const auto mg = vqe::group_commuting_terms(hq, rng);
-  const double est = vqe::sampled_expectation(psi, hq, mg, 200000, rng);
-  EXPECT_NEAR(est, exact, 5e-3);
-  // Few shots: still unbiased but noisier; sanity band only.
-  const double rough = vqe::sampled_expectation(psi, hq, mg, 500, rng);
-  EXPECT_NEAR(rough, exact, 0.3);
-}
 
 // ---------------------------------------------------------------- trotter
 
@@ -171,7 +21,7 @@ TEST(Dynamics, TrotterStepMatchesExactForCommutingHamiltonian) {
   h.add({-0.3, 0.0}, pauli::PauliString::from_string("IZZI"));
   h.add({0.2, 0.0}, pauli::PauliString::from_string("ZIIZ"));
   const double dt = 0.31;
-  const auto res = core::compile_trotter_step(n, h, dt);
+  const auto res = core::compile_trotter_step(n, h, dt, 7);
   sim::StateVector actual(n);
   for (std::size_t q = 0; q < n; ++q)
     actual.apply_gate(circuit::Gate::h(q));  // superposition input
@@ -182,96 +32,17 @@ TEST(Dynamics, TrotterStepMatchesExactForCommutingHamiltonian) {
   EXPECT_NEAR(std::abs(expect.inner(actual)), 1.0, 1e-10);
 }
 
-TEST(Dynamics, SortingReducesModelCost) {
-  // Hubbard-like Hamiltonian: sorted cost <= naive cost.
+TEST(Dynamics, SortingReducesEmittedCnots) {
+  // 3-site Hubbard chain: the sorted, merged step against the unmerged
+  // emission in Hamiltonian order.
   const std::size_t n = 6;
-  fermion::FermionOperator h;
-  for (std::size_t i = 0; i + 2 < n; ++i) {
-    h.add_term({-1.0, 0.0}, {{i, true}, {i + 2, false}});
-    h.add_term({-1.0, 0.0}, {{i + 2, true}, {i, false}});
-  }
-  for (std::size_t i = 0; i < n / 2; ++i)
-    h.add_term({4.0, 0.0}, {{2 * i, true}, {2 * i, false},
-                            {2 * i + 1, true}, {2 * i + 1, false}});
-  const auto hq = transform::LinearEncoding::jordan_wigner(n).map(h);
-  const auto res = core::compile_trotter_step(n, hq, 0.05);
-  EXPECT_LE(res.model_cnots, res.naive_cnots);
-  EXPECT_GT(res.model_cnots, 0);
-  EXPECT_EQ(res.step.cnot_count(), res.step.cnot_count());
-}
-
-
-// ------------------------------------------------------------------- qcc
-
-TEST(Qcc, ReachesFciForH2) {
-  // The QCC entangler pool drawn from the UCCSD generators spans the same
-  // directions; greedy screening + reoptimization must reach FCI for H2.
-  const auto mol = chem::make_h2(1.4);
-  auto basis = chem::build_sto3g(mol);
-  chem::normalize_basis(basis);
-  const auto ints = chem::compute_integrals(mol, basis);
-  const auto scf = chem::run_rhf(mol, ints);
-  const auto so = chem::to_spin_orbitals(chem::transform_to_mo(mol, ints, scf));
-  const auto fci = chem::run_fci(so);
-  const auto enc = transform::LinearEncoding::jordan_wigner(so.n);
-  const auto hq = enc.map(chem::build_hamiltonian(so));
-  std::vector<pauli::PauliSum> gens;
-  for (const auto& t : vqe::uccsd_hmp2_terms(so))
-    gens.push_back(enc.map(t.generator()));
-  const auto pool = vqe::qcc_pool_from_generators(gens);
-  EXPECT_GE(pool.size(), 2u);
-  const auto res = vqe::select_qcc_entanglers(
-      so.n, hq, pool, (std::size_t{1} << so.nelec) - 1, 6);
-  EXPECT_NEAR(res.energy, fci.energy, 1e-6);
-  // Entanglers are compilable by the same sorting machinery.
-  std::vector<synth::RotationBlock> blocks;
-  for (std::size_t k = 0; k < res.entanglers.size(); ++k) {
-    synth::RotationBlock b;
-    b.string = res.entanglers[k];
-    b.angle_coeff = 1.0;
-    b.param = static_cast<int>(k);
-    b.target = b.string.support().lowest_set();
-    blocks.push_back(b);
-  }
-  Rng rng(3);
-  const auto ordered = core::sort_advanced(blocks, rng);
-  EXPECT_EQ(ordered.size(), blocks.size());
-  EXPECT_LE(synth::sequence_model_cost(ordered),
-            synth::sequence_model_cost(blocks));
-}
-
-TEST(Dynamics, SecondOrderTrotterErrorScalesCubically) {
-  // Non-commuting two-term Hamiltonian: per-step error ~ C1 dt^2 for first
-  // order and ~ C2 dt^3 for the symmetric step. Halving dt must shrink the
-  // symmetric step's infidelity by ~8x (vs ~4x for first order).
-  const std::size_t n = 2;
-  pauli::PauliSum h(n);
-  h.add({0.9, 0.0}, pauli::PauliString::from_string("ZZ"));
-  h.add({0.6, 0.0}, pauli::PauliString::from_string("XI"));
-  h.add({-0.4, 0.0}, pauli::PauliString::from_string("IY"));
-  const auto error_of = [&](double dt, bool second) {
-    const auto res = core::compile_trotter_step(n, h, dt);
-    const auto step = second ? core::second_order_step(n, res.ordered_blocks)
-                             : res.step;
-    sim::StateVector approx(n);
-    approx.apply_gate(circuit::Gate::h(0));
-    approx.apply_gate(circuit::Gate::ry(1, 0.7));
-    sim::StateVector exact = approx;
-    approx.apply_circuit(step);
-    // Near-exact reference: 2000 fine substeps.
-    for (int s = 0; s < 2000; ++s)
-      for (const auto& t : h.terms())
-        exact.apply_pauli_exp(t.string, 2.0 * t.coefficient.real() * dt / 2000);
-    return 1.0 - std::abs(exact.inner(approx));
-  };
-  const double e1a = error_of(0.4, false), e1b = error_of(0.2, false);
-  const double e2a = error_of(0.4, true), e2b = error_of(0.2, true);
-  // Second order is uniformly better and scales faster.
-  EXPECT_LT(e2a, e1a);
-  EXPECT_LT(e2b, e1b);
-  EXPECT_GT(e1a / e1b, 3.0);   // ~ dt^2 -> factor ~4
-  EXPECT_LT(e1a / e1b, 16.0);
-  EXPECT_GT(e2a / e2b, 6.0);   // ~ dt^3 -> factor ~8
+  const auto hq = transform::LinearEncoding::jordan_wigner(n).map(
+      core::hubbard_chain(3, 1.0, 4.0));
+  const auto res = core::compile_trotter_step(n, hq, 0.05, 7);
+  EXPECT_EQ(res.step.cnot_count(), 26);
+  EXPECT_EQ(synth::synthesize_sequence(n, res.blocks, synth::MergePolicy::kNone)
+                .cnot_count(),
+            38);
 }
 
 // ------------------------------------------------------------ preparation

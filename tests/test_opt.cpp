@@ -5,12 +5,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "opt/binary_pso.hpp"
 #include "opt/gtsp.hpp"
 #include "opt/simulated_annealing.hpp"
+#include "service/json.hpp"
 #include "support/gtsp_oracle.hpp"
 
 namespace femto::opt {
@@ -104,6 +107,27 @@ TEST(Gtsp, GaRecoversPlantedTour) {
   EXPECT_NEAR(sol.value, 70.0, 1e-9);
 }
 
+/// Runs `solve` under a fresh tracer and returns the `generations` arg of
+/// the one gtsp_ga span it records (-1 if the trace holds anything else).
+template <class Fn>
+[[nodiscard]] double traced_generations(Fn&& solve) {
+  obs::Tracer tracer;
+  obs::Tracer::set_active(&tracer);
+  solve();
+  obs::Tracer::set_active(nullptr);
+  const auto trace = service::json::parse(tracer.to_json());
+  const service::json::Value* events =
+      trace.has_value() ? trace->find("traceEvents") : nullptr;
+  if (events == nullptr || events->items().size() != 1) return -1;
+  const service::json::Value& span = events->items()[0];
+  const service::json::Value* args = span.find("args");
+  const service::json::Value* gens =
+      args != nullptr ? args->find("generations") : nullptr;
+  if (span.find("name")->as_string() != "gtsp_ga" || gens == nullptr)
+    return -1;
+  return std::atof(gens->as_string().c_str());
+}
+
 TEST(Gtsp, GenerationsCounterCountsGenerationsRun) {
   obs::Counter& generations =
       obs::registry().counter("solver.gtsp_generations");
@@ -113,20 +137,26 @@ TEST(Gtsp, GenerationsCounterCountsGenerationsRun) {
   single.weight = [](int, int) { return 1.0; };
   Rng rng(9);
   std::uint64_t before = generations.value();
-  (void)solve_gtsp_ga(materialize(single), rng);
+  EXPECT_EQ(traced_generations(
+                [&] { (void)solve_gtsp_ga(materialize(single), rng); }),
+            0.0);
   EXPECT_EQ(generations.value() - before, 0u);
   // The first generation already holds the planted tour, so the solve stops
   // on stagnation after 1 + stagnation_limit generations, well inside its
-  // budget of 300, and counts only the generations that ran.
+  // budget of 300, and counts (and traces) only the generations that ran.
   Rng planted_rng(5);
   before = generations.value();
-  const GtspSolution sol = solve_gtsp_ga(materialize(planted_instance(8, 3)),
-                                         planted_rng,
-                                         {.population = 32,
-                                          .generations = 300,
-                                          .tournament = 3,
-                                          .mutation_rate = 0.4,
-                                          .stagnation_limit = 120});
+  GtspSolution sol;
+  EXPECT_EQ(traced_generations([&] {
+              sol = solve_gtsp_ga(materialize(planted_instance(8, 3)),
+                                  planted_rng,
+                                  {.population = 32,
+                                   .generations = 300,
+                                   .tournament = 3,
+                                   .mutation_rate = 0.4,
+                                   .stagnation_limit = 120});
+            }),
+            121.0);
   EXPECT_NEAR(sol.value, 70.0, 1e-9);
   EXPECT_EQ(generations.value() - before, 121u);
 }

@@ -8,10 +8,6 @@
 // automatically (simd::set_level clamps); on a plain x86-64 machine the
 // suite still proves portable == AVX2, and on CI's x86-64-v3 leg that is
 // the shipping pair.
-//
-// Also covered here: sim::BatchedState against B independent per-state
-// runs (every gate kind, batch sizes 1/2/7/64, per-lane parameter sweeps),
-// and the batched wiring in vqe::energies and core::evolve_states.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -21,21 +17,17 @@
 #include "circuit/quantum_circuit.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "core/dynamics.hpp"
 #include "gf2/bitvec.hpp"
 #include "gf2/wordops.hpp"
 #include "obs/metrics.hpp"
-#include "sim/batched.hpp"
 #include "sim/statevector.hpp"
 #include "support/level_session.hpp"
-#include "vqe/driver.hpp"
 
 namespace femto {
 namespace {
 
 using circuit::Gate;
 using circuit::GateKind;
-using circuit::QuantumCircuit;
 using sim::Complex;
 using sim::StateVector;
 
@@ -281,193 +273,6 @@ TEST(SimdKernels, PauliExpMatchesPerIndexReference) {
     reference_pauli_exp(ref, sim::detail::make_masks(p), std::cos(half),
                         std::sin(half));
     EXPECT_TRUE(bytes_equal(sv.amplitudes(), ref)) << s;
-  }
-}
-
-// --- batched statevector --------------------------------------------------
-
-constexpr std::size_t kBatches[] = {1, 2, 7, 64};
-
-TEST(BatchedState, EveryGateKindMatchesPerState) {
-  Rng rng(60606);
-  const std::size_t n = 5;
-  for (const std::size_t batch : kBatches) {
-    std::vector<StateVector> states;
-    for (std::size_t b = 0; b < batch; ++b)
-      states.push_back(random_state(n, rng));
-    for (const GateKind kind : kAllKinds) {
-      const Gate g = random_gate(kind, n, rng);
-      sim::BatchedState bs = sim::BatchedState::from_states(states);
-      bs.apply_gate(g);
-      for (std::size_t b = 0; b < batch; ++b) {
-        StateVector sv = states[b];
-        sv.apply_gate(g);
-        EXPECT_TRUE(bytes_equal(bs.lane(b).amplitudes(), sv.amplitudes()))
-            << "kind " << static_cast<int>(kind) << " batch " << batch
-            << " lane " << b;
-      }
-    }
-  }
-}
-
-TEST(BatchedState, SharedCircuitMatchesPerState) {
-  Rng rng(123321);
-  const std::size_t n = 6;
-  QuantumCircuit c(n);
-  for (int k = 0; k < 40; ++k) {
-    const GateKind kind =
-        kAllKinds[rng.index(std::size(kAllKinds))];
-    c.append(random_gate(kind, n, rng));
-  }
-  // Consecutive diagonals on one qubit exercise the fusion path.
-  Gate rz;
-  rz.kind = GateKind::kRz;
-  rz.q0 = 2;
-  rz.angle = 0.71;
-  c.append(rz);
-  rz.angle = -0.32;
-  c.append(rz);
-
-  for (const std::size_t batch : kBatches) {
-    std::vector<StateVector> states;
-    for (std::size_t b = 0; b < batch; ++b)
-      states.push_back(random_state(n, rng));
-    sim::BatchedState bs = sim::BatchedState::from_states(states);
-    bs.apply_circuit(c);
-    for (std::size_t b = 0; b < batch; ++b) {
-      StateVector sv = states[b];
-      sv.apply_circuit(c);
-      EXPECT_TRUE(bytes_equal(bs.lane(b).amplitudes(), sv.amplitudes()))
-          << "batch " << batch << " lane " << b;
-    }
-  }
-}
-
-TEST(BatchedState, PerLanePauliSweepMatchesPerState) {
-  Rng rng(789789);
-  const char* strings[] = {"ZIZIZ", "XXIII", "YZIXY", "IIZII", "XIIIX"};
-  for (const char* s : strings) {
-    const pauli::PauliString p = pauli::PauliString::from_string(s);
-    const std::size_t n = p.num_qubits();
-    for (const std::size_t batch : kBatches) {
-      std::vector<StateVector> states;
-      std::vector<double> angles;
-      for (std::size_t b = 0; b < batch; ++b) {
-        states.push_back(random_state(n, rng));
-        angles.push_back(b == 0 ? 0.0 : rng.uniform(-2.0, 2.0));
-      }
-      sim::BatchedState bs = sim::BatchedState::from_states(states);
-      bs.apply_pauli_exp(p, std::span<const double>(angles));
-      for (std::size_t b = 0; b < batch; ++b) {
-        StateVector sv = states[b];
-        sv.apply_pauli_exp(p, angles[b]);
-        EXPECT_TRUE(bytes_equal(bs.lane(b).amplitudes(), sv.amplitudes()))
-            << s << " batch " << batch << " lane " << b;
-      }
-    }
-  }
-}
-
-TEST(BatchedState, ExpectationsMatchPerState) {
-  Rng rng(246810);
-  const std::size_t n = 5;
-  pauli::PauliSum h;
-  h.add(Complex{0.7, 0.0}, pauli::PauliString::from_string("ZZIII"));
-  h.add(Complex{-0.2, 0.0}, pauli::PauliString::from_string("XIXII"));
-  h.add(Complex{0.05, 0.0}, pauli::PauliString::from_string("IYYIZ"));
-  for (const std::size_t batch : kBatches) {
-    std::vector<StateVector> states;
-    for (std::size_t b = 0; b < batch; ++b)
-      states.push_back(random_state(n, rng));
-    const sim::BatchedState bs = sim::BatchedState::from_states(states);
-    const std::vector<Complex> exps = bs.expectations(h);
-    ASSERT_EQ(exps.size(), batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const Complex scalar = states[b].expectation(h);
-      EXPECT_EQ(exps[b].real(), scalar.real()) << "lane " << b;
-      EXPECT_EQ(exps[b].imag(), scalar.imag()) << "lane " << b;
-    }
-  }
-}
-
-TEST(BatchedState, FitsMatchesConstructorContract) {
-  // fits() is the graceful-fallback probe for the abort-on-violation
-  // constructor precondition: n + lane_pow (lanes = bit_ceil(batch)) must
-  // stay within the 2^28-amplitude padded-buffer ceiling.
-  EXPECT_TRUE(sim::BatchedState::fits(3, 1));
-  EXPECT_TRUE(sim::BatchedState::fits(28, 1));
-  EXPECT_FALSE(sim::BatchedState::fits(28, 2));
-  EXPECT_TRUE(sim::BatchedState::fits(24, 16));
-  EXPECT_FALSE(sim::BatchedState::fits(24, 17));  // pads to 32 lanes
-  EXPECT_TRUE(sim::BatchedState::fits(0, std::size_t{1} << 28));
-  EXPECT_FALSE(sim::BatchedState::fits(1, std::size_t{1} << 28));
-  EXPECT_FALSE(sim::BatchedState::fits(3, 0));
-  // Far past the ceiling: must return false, not overflow the shift.
-  EXPECT_FALSE(sim::BatchedState::fits(60, 16));
-  EXPECT_FALSE(sim::BatchedState::fits(3, ~std::size_t{0}));
-}
-
-TEST(BatchedState, AppliedCounterAdvances) {
-  const std::uint64_t before =
-      obs::registry().counter("sim.batched_states_applied").value();
-  sim::BatchedState bs(3, 5);
-  Gate g;
-  g.kind = GateKind::kH;
-  g.q0 = 1;
-  bs.apply_gate(g);
-  EXPECT_EQ(obs::registry().counter("sim.batched_states_applied").value(),
-            before + 5);
-}
-
-// --- batched wiring: VQE, dynamics, verify --------------------------------
-
-TEST(BatchedWiring, VqeEnergiesMatchScalarPath) {
-  vqe::VqeProblem prob;
-  prob.num_qubits = 4;
-  prob.reference_index = 0b0011;
-  prob.hamiltonian.add(Complex{0.4, 0.0}, pauli::PauliString::from_string("ZZII"));
-  prob.hamiltonian.add(Complex{0.1, 0.0}, pauli::PauliString::from_string("XXYY"));
-  prob.hamiltonian.add(Complex{-0.3, 0.0}, pauli::PauliString::from_string("IZIZ"));
-  for (const char* s : {"XYII", "IXYI", "YXXX"}) {
-    pauli::PauliSum g;
-    g.add(Complex{0.0, 1.0}, pauli::PauliString::from_string(s));
-    prob.generators.push_back(std::move(g));
-  }
-  Rng rng(1357);
-  std::vector<std::vector<double>> thetas;
-  for (std::size_t b = 0; b < 7; ++b) {
-    std::vector<double> t(prob.generators.size());
-    for (double& v : t) v = rng.uniform(-1.5, 1.5);
-    thetas.push_back(std::move(t));
-  }
-  thetas[3].assign(prob.generators.size(), 0.0);  // exercise theta = 0 lanes
-
-  const std::vector<double> batched = vqe::energies(
-      prob, std::span<const std::vector<double>>(thetas));
-  ASSERT_EQ(batched.size(), thetas.size());
-  for (std::size_t b = 0; b < thetas.size(); ++b)
-    EXPECT_EQ(batched[b], vqe::energy(prob, thetas[b])) << "lane " << b;
-}
-
-TEST(BatchedWiring, TrotterEvolutionMatchesPerState) {
-  Rng rng(8642);
-  const std::size_t n = 4;
-  pauli::PauliSum h;
-  h.add(Complex{0.5, 0.0}, pauli::PauliString::from_string("ZZII"));
-  h.add(Complex{0.25, 0.0}, pauli::PauliString::from_string("IXXI"));
-  h.add(Complex{0.1, 0.0}, pauli::PauliString::from_string("IIZY"));
-  const core::TrotterResult trotter =
-      core::compile_trotter_step(n, h, 0.05);
-
-  std::vector<StateVector> states;
-  for (std::size_t b = 0; b < 3; ++b) states.push_back(random_state(n, rng));
-  const sim::BatchedState evolved = core::evolve_states(
-      trotter.step, 4, sim::BatchedState::from_states(states));
-  for (std::size_t b = 0; b < states.size(); ++b) {
-    StateVector sv = states[b];
-    for (int step = 0; step < 4; ++step) sv.apply_circuit(trotter.step);
-    EXPECT_TRUE(bytes_equal(evolved.lane(b).amplitudes(), sv.amplitudes()))
-        << "lane " << b;
   }
 }
 

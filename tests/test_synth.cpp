@@ -11,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "sim/statevector.hpp"
-#include "sim/unitary.hpp"
 #include "synth/cost_model.hpp"
 #include "synth/pauli_exponential.hpp"
 #include "synth/su2.hpp"

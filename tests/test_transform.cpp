@@ -7,8 +7,8 @@
 
 #include "common/rng.hpp"
 #include "fermion/excitation.hpp"
-#include "sim/lanczos.hpp"
 #include "sim/statevector.hpp"
+#include "support/lanczos.hpp"
 #include "transform/linear_encoding.hpp"
 
 namespace femto::transform {
@@ -147,7 +147,7 @@ TEST(Encodings, SpectrumInvariantAcrossEncodings) {
   std::vector<double> energies;
   for (const auto& enc : encodings) {
     const PauliSum hq = enc.map(h);
-    energies.push_back(sim::lanczos_ground_energy(hq, n).ground_energy);
+    energies.push_back(oracle::lanczos_ground_energy(hq, n).ground_energy);
   }
   for (std::size_t k = 1; k < energies.size(); ++k)
     EXPECT_NEAR(energies[k], energies[0], 1e-8);

@@ -95,11 +95,11 @@ ABS_FLOORS = {
 ABS_EXACT = {
     "targets": {"targets/H2O(14)/all_to_all_cnot/model_cnots": 108.0},
     # The SIMD layer's bit-identity contract: switching the dispatch level
-    # (portable/AVX2/AVX-512) or batching states through sim::BatchedState
-    # must never change a single amplitude bit (statevector) or any integer
-    # reduction (compile_hot wordops). The bench binaries recompute these
-    # cross-level comparisons on every run; any value but 1.0 means a vector
-    # path's per-element op tree diverged from the portable reference.
+    # (portable/AVX2/AVX-512) must never change a single amplitude bit
+    # (statevector) or any integer reduction (compile_hot wordops). The
+    # bench binaries recompute these cross-level comparisons on every run;
+    # any value but 1.0 means a vector path's per-element op tree diverged
+    # from the portable reference.
     "statevector": {"*/simd_bit_identical": 1.0},
     "compile_hot": {"*/simd_bit_identical": 1.0},
     # The compilation database's serving path, end to end (bench_db): a
