@@ -451,8 +451,11 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
   // targets the exact model is the min of two lowering forms whose order
   // structure matches the CNOT model, so the legacy weights are the sharper
   // surrogate (and the nullptr path is bit-identical for the default
-  // target). The Gamma objective itself (real_fermionic_cost) always scores
-  // candidates by the true per-target sequence_model_cost.
+  // target). On a constrained CNOT device only the string costs change (its
+  // interface savings are the default model's); a constrained XX device
+  // also prices savings in the partner form. The Gamma objective itself
+  // (real_fermionic_cost) always scores candidates by the true per-target
+  // sequence_model_cost.
   const synth::HardwareTarget* hw =
       options.target.coupling.constrained() ? &options.target : nullptr;
 
@@ -545,6 +548,8 @@ inline void stage_transform(StageContext& ctx, CompileResult& result,
       // same cost, with O(move-delta) candidate evaluation.
       GammaState best =
           anneal_gamma_fast(n, blocks, objective, rng, options.sa_options);
+      // The exact-cost tail: its GTSP solves nest under this span.
+      obs::Span climb_span("adv_hill_climb", "compile");
       // Small instances: first-improvement hill climb on the *real* cost to
       // close the proxy gap (in-block moves keep GL membership).
       if (ctx.fermionic_jw_blocks.size() <= 12 && !blocks.empty()) {

@@ -91,10 +91,12 @@ struct GammaMove {
 namespace detail {
 
 /// Best shared-target interface saving between two blocks under a device
-/// model: max over the shared support of the per-target device saving
-/// (scalar loop; the default CNOT model uses the closed-form word-parallel
-/// kernel in synth/cost_model.hpp instead). Returns -1 when no shared
-/// target exists.
+/// model: max over the shared support of the per-target device saving,
+/// -1 when no shared target exists. Only an XX-entangler device needs this
+/// scalar scan: its partner form excludes target-dependent wires. On every
+/// CNOT-entangler device (connectivity enters only the string costs) the
+/// saving is the default model's, priced by the closed-form
+/// synth::best_shared_target_saving.
 [[nodiscard]] inline int best_shared_device_saving(
     const pauli::PauliString& p1, const pauli::PauliString& p2,
     const synth::HardwareTarget& hw) {
@@ -179,11 +181,16 @@ class GammaObjective {
   /// `hw` is null (the default CNOT model) or a connectivity-constrained
   /// device, whose routing-aware string costs the objective memoizes in its
   /// own StringCostCache. An unconstrained device target is scored by the
-  /// default model, so the caller passes null for it.
+  /// default model, so the caller passes null for it. Pair savings take the
+  /// closed form synth::best_shared_target_saving on the default model and
+  /// on a CNOT-entangler device alike; only an XX-entangler device scans
+  /// the shared targets (detail::best_shared_device_saving).
   GammaObjective(std::size_t n,
                  const std::vector<std::vector<synth::RotationBlock>>& term_blocks,
                  const synth::HardwareTarget* hw = nullptr)
       : device_(hw),
+        per_target_scan_(hw != nullptr &&
+                         hw->entangler == synth::EntanglerKind::kXX),
         gamma_(gf2::Matrix::identity(n)),
         inv_t_(gf2::Matrix::identity(n)) {
     FEMTO_EXPECTS(hw == nullptr || hw->coupling.constrained());
@@ -200,10 +207,9 @@ class GammaObjective {
     }
     table_.resize(max_blocks * max_blocks);
     used_.resize(max_blocks);
-    if (device_ != nullptr) {
-      cache_.emplace(*device_);
+    if (device_ != nullptr) cache_.emplace(*device_);
+    if (per_target_scan_)
       scratch_strings_.assign(max_blocks, pauli::PauliString(n));
-    }
   }
 
   /// Full recomputation from an arbitrary (invertible) Gamma: the start of
@@ -305,46 +311,47 @@ class GammaObjective {
     if (m == 0) return 0;
     const Block* blocks = blocks_.data() + term.begin;
     int total = 0;
-    if (device_ == nullptr) {
-      for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t k = 0; k < m; ++k) {
+      if (device_ == nullptr) {
         const std::size_t w = support_weight(blocks[k]);
         total += w <= 1 ? 0 : 2 * (static_cast<int>(w) - 1);
+      } else {
+        // Constrained device: the cheapest routing-aware target per block.
+        total += cache_->min_cost(blocks[k].x, blocks[k].z);
       }
-      if (m == 1) return total;
-      for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < m; ++j)
-          table_[i * m + j] =
-              (i == j || (blocks[i].x == blocks[j].x &&
-                          blocks[i].z == blocks[j].z))
-                  ? -1
+    }
+    if (m == 1) return total;
+    if (per_target_scan_)
+      for (std::size_t k = 0; k < m; ++k)
+        scratch_strings_[k].set_symplectic(blocks[k].x, blocks[k].z);
+    // Every pair saving is symmetric (C, E, the X/Y-collision flag and the
+    // XX partner form's excluded-wire set all are), so the upper triangle
+    // is filled and mirrored.
+    for (std::size_t i = 0; i < m; ++i) {
+      table_[i * m + i] = -1;
+      for (std::size_t j = i + 1; j < m; ++j) {
+        int s = -1;
+        if (!(blocks[i].x == blocks[j].x && blocks[i].z == blocks[j].z))
+          s = per_target_scan_
+                  ? detail::best_shared_device_saving(
+                        scratch_strings_[i], scratch_strings_[j], *device_)
                   : synth::best_shared_target_saving(blocks[i].x, blocks[i].z,
                                                      blocks[j].x, blocks[j].z);
-    } else {
-      // Constrained device: the cheapest routing-aware target per block.
-      for (std::size_t k = 0; k < m; ++k) {
-        scratch_strings_[k].set_symplectic(blocks[k].x, blocks[k].z);
-        total += cache_->min_cost(scratch_strings_[k]);
+        table_[i * m + j] = table_[j * m + i] = s;
       }
-      if (m == 1) return total;
-      for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < m; ++j)
-          table_[i * m + j] =
-              (i == j || scratch_strings_[i].same_letters(scratch_strings_[j]))
-                  ? -1
-                  : detail::best_shared_device_saving(
-                        scratch_strings_[i], scratch_strings_[j], *device_);
     }
     return total - detail::greedy_chain_savings(table_.data(), m, used_.data());
   }
 
   const synth::HardwareTarget* device_ = nullptr;
+  bool per_target_scan_ = false;  // XX-entangler device: partner-form savings
   std::optional<synth::StringCostCache> cache_;  // device targets only
   gf2::Matrix gamma_, inv_t_;
   std::vector<Block> blocks_;
   std::vector<Term> terms_;
   std::vector<int> table_;
   std::vector<std::uint8_t> used_;
-  std::vector<pauli::PauliString> scratch_strings_;
+  std::vector<pauli::PauliString> scratch_strings_;  // per_target_scan_ only
   std::vector<Dirty> dirty_;
   std::size_t last_src_ = 0, last_dst_ = 0;
   int total_ = 0;

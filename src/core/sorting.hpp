@@ -14,8 +14,9 @@
 //
 // Hot-path layout (all bit-identical to the historical scalar code):
 //  * sort_advanced materializes the GTSP weights straight into a dense
-//    matrix (opt::GtspDense) -- no std::function, no hash-map memo -- and
-//    runs the allocation-free GA core.
+//    matrix (opt::GtspDense) -- no std::function, no hash-map memo -- one
+//    block pair at a time (detail::advanced_instance), and runs the
+//    allocation-free GA core.
 //  * sort_baseline takes each term's pair counts once, runs one Held-Karp
 //    per distinct candidate weight table, best-first under a path bound,
 //    and relaxes the pushed DP eight lanes at a time (SIMD-dispatched);
@@ -40,83 +41,136 @@
 
 namespace femto::core {
 
+namespace detail {
+
+/// The GTSP instance sort_advanced solves: cluster k holds one vertex per
+/// valid target of block k, in ascending target order, and vertices are
+/// numbered cluster by cluster (consecutive ids, as GtspDense requires).
+struct AdvancedInstance {
+  opt::GtspDense gtsp;
+  std::vector<std::size_t> targets;  // target qubit of each vertex
+};
+
+/// Builds sort_advanced's instance. The weight of vertex (a, ta) -> (b, tb)
+/// is the interface saving of block b after block a on those targets, plus
+/// the successor vertex's target-choice bonus on a connectivity-constrained
+/// device (its cluster-minimal routing-aware string cost minus its own;
+/// 0.0 elsewhere). A saving is zero unless ta == tb, and identical letter
+/// strings get none (the paper inserts no edge between equal strings;
+/// adjacency is allowed but yields no credit). Intra-cluster pairs are never
+/// consulted and stay 0.
+///
+/// Filled one block pair at a time: one same_letters check and one
+/// common-support count per pair, then a walk over the two ascending target
+/// lists prices each shared target in closed form
+/// (synth::detail::shared_target_saving; on an XX-entangler device the
+/// partner form's interface_saving). Bit-equal to the per-vertex-pair fill
+/// of tests/support/sort_oracle.hpp.
+[[nodiscard]] inline AdvancedInstance advanced_instance(
+    const std::vector<synth::RotationBlock>& blocks,
+    const synth::HardwareTarget* hw) {
+  AdvancedInstance out;
+  opt::GtspDense& inst = out.gtsp;
+  std::vector<std::size_t>& targets = out.targets;
+  const bool device = hw != nullptr && !hw->is_all_to_all_cnot();
+  const bool constrained = device && hw->coupling.constrained();
+  const bool partner_form =
+      device && hw->entangler == synth::EntanglerKind::kXX;
+  std::vector<double> bonus;  // per vertex
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    std::vector<int> cluster;
+    const std::size_t first = targets.size();
+    for (std::size_t t : valid_targets(blocks[k])) {
+      cluster.push_back(static_cast<int>(targets.size()));
+      targets.push_back(t);
+      bonus.push_back(0.0);
+    }
+    FEMTO_EXPECTS(!cluster.empty());
+    if (constrained) {
+      int min_cost = std::numeric_limits<int>::max();
+      for (std::size_t v = first; v < targets.size(); ++v)
+        min_cost = std::min(
+            min_cost, synth::string_cost(blocks[k].string, targets[v], *hw));
+      for (std::size_t v = first; v < targets.size(); ++v)
+        bonus[v] = static_cast<double>(
+            min_cost - synth::string_cost(blocks[k].string, targets[v], *hw));
+    }
+    inst.clusters.push_back(std::move(cluster));
+  }
+  inst.allocate();
+  const std::size_t nv = inst.num_vertices;
+  if (constrained) {
+    // Every cross-cluster entry starts at its successor's bonus.
+    for (const std::vector<int>& ca : inst.clusters)
+      for (const int va : ca) {
+        double* row = inst.weights.data() + static_cast<std::size_t>(va) * nv;
+        std::copy(bonus.begin(), bonus.end(), row);
+        std::fill(row + ca.front(), row + ca.back() + 1, 0.0);
+      }
+  }
+  for (std::size_t a = 0; a < blocks.size(); ++a) {
+    const pauli::PauliString& pa = blocks[a].string;
+    const std::vector<int>& ca = inst.clusters[a];
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      if (b == a) continue;
+      const pauli::PauliString& pb = blocks[b].string;
+      FEMTO_EXPECTS(pa.num_qubits() == pb.num_qubits());
+      if (pa.same_letters(pb)) continue;
+      const std::vector<int>& cb = inst.clusters[b];
+      const synth::detail::CommonSupport c =
+          partner_form ? synth::detail::CommonSupport{}
+                       : synth::detail::common_support_counts(pa.x(), pa.z(),
+                                                              pb.x(), pb.z());
+      std::size_t i = 0, j = 0;
+      while (i < ca.size() && j < cb.size()) {
+        const std::size_t ta = targets[static_cast<std::size_t>(ca[i])];
+        const std::size_t tb = targets[static_cast<std::size_t>(cb[j])];
+        if (ta < tb) {
+          ++i;
+          continue;
+        }
+        if (tb < ta) {
+          ++j;
+          continue;
+        }
+        const int s = partner_form
+                          ? synth::interface_saving(pa, ta, pb, ta, *hw)
+                          : synth::detail::shared_target_saving(
+                                c, pa.letter(ta), pb.letter(ta));
+        inst.set_weight(ca[i], cb[j],
+                        static_cast<double>(s) +
+                            bonus[static_cast<std::size_t>(cb[j])]);
+        ++i;
+        ++j;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace detail
+
 /// GTSP-based joint sort (order + targets). Returns the blocks in
 /// implementation order with targets assigned. With a non-default
 /// HardwareTarget the GTSP edge weights become the *device* savings
 /// (synth/cost_model.hpp); on connectivity-constrained targets each edge
-/// additionally carries the successor vertex's target-choice bonus (its
-/// cluster-minimal routing-aware string cost minus the vertex's own), so the
-/// solver is steered toward cheap target placements as well as savings. Both
-/// extras are exactly zero for all_to_all_cnot / hw == nullptr, keeping the
-/// historical behavior bit-identical.
+/// additionally carries the successor vertex's target-choice bonus, so the
+/// solver is steered toward cheap target placements as well as savings
+/// (detail::advanced_instance). Both extras are exactly zero for
+/// all_to_all_cnot / hw == nullptr, keeping the historical behavior
+/// bit-identical.
 [[nodiscard]] inline std::vector<synth::RotationBlock> sort_advanced(
     const std::vector<synth::RotationBlock>& blocks, Rng& rng,
     const opt::GtspOptions& options = {},
     const synth::HardwareTarget* hw = nullptr) {
   if (blocks.size() <= 1) return blocks;
-  // Vertex table: (block index, target).
-  struct Vertex {
-    std::size_t block;
-    std::size_t target;
-    double bonus;  // cluster-min string cost - this vertex's string cost
-  };
-  std::vector<Vertex> vertices;
-  const bool device = hw != nullptr && !hw->is_all_to_all_cnot();
-  const bool constrained = device && hw->coupling.constrained();
-  // Vertices are numbered cluster by cluster, so each cluster's ids are
-  // consecutive, as GtspDense requires.
-  opt::GtspDense inst;
-  for (std::size_t k = 0; k < blocks.size(); ++k) {
-    std::vector<int> cluster;
-    const std::size_t first = vertices.size();
-    for (std::size_t t : valid_targets(blocks[k])) {
-      cluster.push_back(static_cast<int>(vertices.size()));
-      vertices.push_back({k, t, 0.0});
-    }
-    FEMTO_EXPECTS(!cluster.empty());
-    if (constrained) {
-      int min_cost = std::numeric_limits<int>::max();
-      for (std::size_t v = first; v < vertices.size(); ++v)
-        min_cost = std::min(
-            min_cost, synth::string_cost(blocks[k].string,
-                                         vertices[v].target, *hw));
-      for (std::size_t v = first; v < vertices.size(); ++v)
-        vertices[v].bonus = static_cast<double>(
-            min_cost - synth::string_cost(blocks[k].string,
-                                          vertices[v].target, *hw));
-    }
-    inst.clusters.push_back(std::move(cluster));
-  }
-  // Dense interface-saving table. Identical letter strings get weight 0 (the
-  // paper inserts no edge between equal strings; adjacency is allowed but
-  // yields no credit). Intra-cluster pairs are never consulted and stay 0.
-  inst.allocate();
-  for (std::size_t a = 0; a < vertices.size(); ++a) {
-    const Vertex& va = vertices[a];
-    for (std::size_t b = 0; b < vertices.size(); ++b) {
-      const Vertex& vb = vertices[b];
-      if (va.block == vb.block) continue;
-      double w = 0.0;
-      if (!blocks[va.block].string.same_letters(blocks[vb.block].string))
-        w = device ? synth::interface_saving(blocks[va.block].string,
-                                             va.target,
-                                             blocks[vb.block].string,
-                                             vb.target, *hw)
-                   : synth::interface_saving(blocks[va.block].string,
-                                             va.target,
-                                             blocks[vb.block].string,
-                                             vb.target);
-      w += vb.bonus;
-      inst.set_weight(static_cast<int>(a), static_cast<int>(b), w);
-    }
-  }
-  const opt::GtspSolution sol = opt::solve_gtsp_ga(inst, rng, options);
+  const detail::AdvancedInstance inst = detail::advanced_instance(blocks, hw);
+  const opt::GtspSolution sol = opt::solve_gtsp_ga(inst.gtsp, rng, options);
   std::vector<synth::RotationBlock> out;
   out.reserve(blocks.size());
   for (std::size_t slot = 0; slot < sol.cluster_order.size(); ++slot) {
-    const Vertex& v = vertices[static_cast<std::size_t>(sol.vertex_choice[slot])];
-    synth::RotationBlock b = blocks[v.block];
-    b.target = v.target;
+    synth::RotationBlock b = blocks[sol.cluster_order[slot]];
+    b.target = inst.targets[static_cast<std::size_t>(sol.vertex_choice[slot])];
     out.push_back(std::move(b));
   }
   return out;

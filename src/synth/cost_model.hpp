@@ -68,31 +68,38 @@ struct CommonSupport {
   return CommonSupport{c.common, c.equal};
 }
 
+/// Interface saving of the default CNOT model at a shared target whose
+/// letters are `a` on the first string and `b` on the second (both non-I),
+/// from the pair's common-support counts: every common-support wire other
+/// than the target contributes omega = 1, upgraded to omega = 2 on
+/// equal-letter wires when the target collision is good.
+[[nodiscard]] inline int shared_target_saving(const CommonSupport& c,
+                                              pauli::Letter a,
+                                              pauli::Letter b) {
+  FEMTO_EXPECTS(a != pauli::Letter::I && b != pauli::Letter::I);
+  // The target wire is always common; drop it (and its equal-letter credit).
+  int saving = c.common - 1;
+  if (target_collision_good(a, b)) saving += c.equal - (a == b ? 1 : 0);
+  return saving;
+}
+
 }  // namespace detail
 
 /// Interface CNOT saving between consecutive blocks [p1,t1] then [p2,t2].
 /// Zero unless the targets coincide. Requires both strings non-identity at
 /// their own target (guaranteed for valid target choices). Computed
-/// word-parallel over the symplectic components: every common-support wire
-/// other than the target contributes omega = 1, upgraded to omega = 2 on
-/// equal-letter wires when the target collision is good -- identical per-site
-/// semantics to the scalar loop of the paper's formula.
+/// word-parallel over the symplectic components
+/// (detail::shared_target_saving) -- identical per-site semantics to the
+/// scalar loop of the paper's formula.
 [[nodiscard]] inline int interface_saving(const pauli::PauliString& p1,
                                           std::size_t t1,
                                           const pauli::PauliString& p2,
                                           std::size_t t2) {
-  using pauli::Letter;
   if (t1 != t2) return 0;
   FEMTO_EXPECTS(p1.num_qubits() == p2.num_qubits());
-  FEMTO_EXPECTS(p1.letter(t1) != Letter::I && p2.letter(t2) != Letter::I);
-  const bool good_target = target_collision_good(p1.letter(t1), p2.letter(t1));
-  const detail::CommonSupport c =
-      detail::common_support_counts(p1.x(), p1.z(), p2.x(), p2.z());
-  // The target wire is always common; drop it (and its equal-letter credit).
-  int saving = c.common - 1;
-  if (good_target)
-    saving += c.equal - (p1.letter(t1) == p2.letter(t1) ? 1 : 0);
-  return saving;
+  return detail::shared_target_saving(
+      detail::common_support_counts(p1.x(), p1.z(), p2.x(), p2.z()),
+      p1.letter(t1), p2.letter(t2));
 }
 
 /// Best interface saving between two strings over every shared target
@@ -268,6 +275,8 @@ namespace detail {
 
 /// Interface saving between consecutive blocks, in native entanglers (for
 /// the XX target: the partner form, which is what the GTSP weights steer).
+/// Connectivity enters only the string costs, so on every CNOT-entangler
+/// device this is exactly the default model's interface_saving.
 [[nodiscard]] inline int interface_saving(const pauli::PauliString& p1,
                                           std::size_t t1,
                                           const pauli::PauliString& p2,
@@ -309,19 +318,23 @@ class StringCostCache {
   explicit StringCostCache(const HardwareTarget&&) = delete;
 
   /// Memoized min over all valid targets (the support sites) of
-  /// string_cost(p, t, hw).
-  [[nodiscard]] int min_cost(const pauli::PauliString& p) {
-    if (p.num_qubits() > 64) return min_cost_direct(p);
-    const std::uint64_t key = p.x().word_data()[0] | p.z().word_data()[0];
+  /// string_cost(p, t, hw), for the string p with symplectic components
+  /// (x, z). Looked up by support word; p is built only on a miss.
+  [[nodiscard]] int min_cost(const gf2::BitVec& x, const gf2::BitVec& z) {
+    if (x.size() > 64) return min_cost_direct(x, z);
+    const std::uint64_t key = x.word_data()[0] | z.word_data()[0];
     const auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
-    const int c = min_cost_direct(p);
+    const int c = min_cost_direct(x, z);
     memo_.emplace(key, c);
     return c;
   }
 
  private:
-  [[nodiscard]] int min_cost_direct(const pauli::PauliString& p) const {
+  [[nodiscard]] int min_cost_direct(const gf2::BitVec& x,
+                                    const gf2::BitVec& z) const {
+    pauli::PauliString p(x.size());
+    p.set_symplectic(x, z);
     int cheapest = std::numeric_limits<int>::max();
     for (std::size_t q = 0; q < p.num_qubits(); ++q)
       if (p.letter(q) != pauli::Letter::I)

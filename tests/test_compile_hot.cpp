@@ -3,11 +3,15 @@
 //  * word-parallel interface_saving / best_shared_target_saving vs the
 //    scalar per-site omega sums,
 //  * GammaObjective vs the full recomputation of
-//    tests/support/cost_oracle.hpp: apply/undo over random elementary-move
+//    tests/support/cost_oracle.hpp on the default model, a routed CNOT line
+//    and a routed XX line: apply/undo over random elementary-move
 //    sequences, and reset() to random GT candidates (unit upper-triangular
 //    times permutation),
 //  * anneal_gamma_fast vs the generic simulated-annealing driver on the
 //    same RNG stream,
+//  * sort_advanced's per-block-pair GTSP instance build vs the
+//    per-vertex-pair fill of tests/support/sort_oracle.hpp, at every SIMD
+//    dispatch level,
 //  * the dense GTSP GA vs the lazy solver of tests/support/gtsp_oracle.hpp,
 //    on real-valued weights and on tie-prone integer weights, and its lane
 //    value DP vs the backtracking DP, at every SIMD dispatch level,
@@ -32,6 +36,7 @@
 #include "support/cost_oracle.hpp"
 #include "support/gtsp_oracle.hpp"
 #include "support/level_session.hpp"
+#include "support/sort_oracle.hpp"
 #include "transform/linear_encoding.hpp"
 #include "vqe/uccsd.hpp"
 
@@ -65,6 +70,15 @@ std::vector<synth::RotationBlock> random_blocks(std::size_t n, std::size_t m,
     blocks.push_back(std::move(b));
   }
   return blocks;
+}
+
+/// XX entangler on linear_nn(n)'s coupling: the one device whose Gamma
+/// objective and GTSP weights keep the per-target partner-form saving.
+synth::HardwareTarget xx_line(std::size_t n) {
+  synth::HardwareTarget t = synth::HardwareTarget::linear_nn(n);
+  t.name = "xx_line";
+  t.entangler = synth::EntanglerKind::kXX;
+  return t;
 }
 
 /// Scalar reference of the default-model interface saving (the per-site
@@ -153,7 +167,10 @@ TEST(StringCostCache, MemoizesExactly) {
         if (p.letter(t) == Letter::I) continue;
         cheapest = std::min(cheapest, synth::string_cost(p, t, hw));
       }
-      EXPECT_EQ(cache.min_cost(p), cheapest);
+      // The first lookup of a support computes; a repeat, or a later
+      // string on the same support, hits the memo.
+      EXPECT_EQ(cache.min_cost(p.x(), p.z()), cheapest);
+      EXPECT_EQ(cache.min_cost(p.x(), p.z()), cheapest);
     }
   }
 }
@@ -186,6 +203,7 @@ std::vector<std::vector<synth::RotationBlock>> jw_term_blocks(
 TEST(GammaObjective, IncrementalMatchesFullRecomputeUnderRandomMoves) {
   Rng rng(105);
   const synth::HardwareTarget linear8 = synth::HardwareTarget::linear_nn(8);
+  const synth::HardwareTarget xx_line8 = xx_line(8);
   for (int rep = 0; rep < 10; ++rep) {
     const std::size_t n = 8;
     const auto terms = random_terms(n, 4 + rng.index(4), rng);
@@ -196,7 +214,7 @@ TEST(GammaObjective, IncrementalMatchesFullRecomputeUnderRandomMoves) {
       if (blocks[b].size() >= 2) movable.push_back(b);
     if (movable.empty()) continue;
 
-    const synth::HardwareTarget* hws[2] = {nullptr, &linear8};
+    const synth::HardwareTarget* hws[3] = {nullptr, &linear8, &xx_line8};
     for (const synth::HardwareTarget* hw : hws) {
       core::GammaObjective objective(n, term_blocks, hw);
       objective.reset(gf2::Matrix::identity(n));
@@ -219,7 +237,7 @@ TEST(GammaObjective, IncrementalMatchesFullRecomputeUnderRandomMoves) {
         ASSERT_EQ(objective.energy(),
                   oracle::fermionic_fast_cost(gamma, term_blocks, hw))
             << "rep=" << rep << " move=" << move
-            << " device=" << (hw != nullptr);
+            << " device=" << (hw != nullptr ? hw->name : "none");
         // The maintained inverse-transpose must stay exact.
         ASSERT_TRUE(objective.inverse_transpose() ==
                     gamma.inverse()->transpose());
@@ -232,7 +250,8 @@ TEST(GammaObjective, ResetMatchesFullRecomputeOnGtCandidates) {
   // The GT baselines reset one objective to every candidate they score: a
   // random unit upper-triangular matrix times a random permutation over all
   // qubits. Each reset must equal the full recomputation, on the default
-  // model and on a routed device.
+  // model, on a routed CNOT line (closed-form pair savings) and on a routed
+  // XX line (the per-target scan).
   Rng rng(121);
   int resets = 0;
   for (int rep = 0; rep < 40; ++rep) {
@@ -240,7 +259,8 @@ TEST(GammaObjective, ResetMatchesFullRecomputeOnGtCandidates) {
     const auto terms = random_terms(n, 3 + rng.index(6), rng);
     const auto term_blocks = jw_term_blocks(n, terms);
     const synth::HardwareTarget linear = synth::HardwareTarget::linear_nn(n);
-    const synth::HardwareTarget* hws[2] = {nullptr, &linear};
+    const synth::HardwareTarget xx_linear = xx_line(n);
+    const synth::HardwareTarget* hws[3] = {nullptr, &linear, &xx_linear};
     for (const synth::HardwareTarget* hw : hws) {
       core::GammaObjective objective(n, term_blocks, hw);
       for (int k = 0; k < 30; ++k) {
@@ -255,17 +275,21 @@ TEST(GammaObjective, ResetMatchesFullRecomputeOnGtCandidates) {
         ASSERT_TRUE(objective.gamma() == gamma);
         ASSERT_EQ(objective.energy(),
                   oracle::fermionic_fast_cost(gamma, term_blocks, hw))
-            << "rep=" << rep << " k=" << k << " device=" << (hw != nullptr);
+            << "rep=" << rep << " k=" << k
+            << " device=" << (hw != nullptr ? hw->name : "none");
         ASSERT_TRUE(objective.inverse_transpose() ==
                     gamma.inverse()->transpose());
       }
     }
   }
-  EXPECT_EQ(resets, 2400);
+  EXPECT_EQ(resets, 3600);
 }
 
 TEST(AnnealGammaFast, BitIdenticalToGenericSimulatedAnnealing) {
+  // On the default model and on a routed CNOT line, whose objective prices
+  // pair savings in closed form and string costs through its cache.
   Rng build_rng(106);
+  const synth::HardwareTarget linear8 = synth::HardwareTarget::linear_nn(8);
   for (int rep = 0; rep < 6; ++rep) {
     const std::size_t n = 8;
     const auto terms = random_terms(n, 5, build_rng);
@@ -273,23 +297,29 @@ TEST(AnnealGammaFast, BitIdenticalToGenericSimulatedAnnealing) {
     const auto blocks = core::discover_blocks(n, terms, {});
     const opt::SaOptions options{2.0, 0.05, 300, rep % 2 == 0 ? 0 : 50};
 
-    Rng generic_rng(500 + rep);
-    const core::GammaState generic = oracle::anneal_gamma(
-        n, blocks,
-        [&](const gf2::Matrix& g) {
-          return oracle::fermionic_fast_cost(g, term_blocks);
-        },
-        generic_rng, options);
+    const synth::HardwareTarget* hws[2] = {nullptr, &linear8};
+    for (const synth::HardwareTarget* hw : hws) {
+      Rng generic_rng(500 + rep);
+      const core::GammaState generic = oracle::anneal_gamma(
+          n, blocks,
+          [&](const gf2::Matrix& g) {
+            return oracle::fermionic_fast_cost(g, term_blocks, hw);
+          },
+          generic_rng, options);
 
-    Rng fast_rng(500 + rep);
-    core::GammaObjective objective(n, term_blocks);
-    const core::GammaState fast =
-        core::anneal_gamma_fast(n, blocks, objective, fast_rng, options);
+      Rng fast_rng(500 + rep);
+      core::GammaObjective objective(n, term_blocks, hw);
+      const core::GammaState fast =
+          core::anneal_gamma_fast(n, blocks, objective, fast_rng, options);
 
-    EXPECT_TRUE(fast.gamma == generic.gamma) << "rep " << rep;
-    EXPECT_EQ(fast.blocks, generic.blocks);
-    // Both Rngs must have consumed the identical stream.
-    EXPECT_EQ(generic_rng.index(1u << 30), fast_rng.index(1u << 30));
+      const std::string where = "rep " + std::to_string(rep) + " device " +
+                                (hw != nullptr ? hw->name : "none");
+      EXPECT_TRUE(fast.gamma == generic.gamma) << where;
+      EXPECT_EQ(fast.blocks, generic.blocks) << where;
+      // Both Rngs must have consumed the identical stream.
+      EXPECT_EQ(generic_rng.index(1u << 30), fast_rng.index(1u << 30))
+          << where;
+    }
   }
 }
 
@@ -419,6 +449,56 @@ TEST(DenseGtsp, ValueDpBitEqualsBacktrackingDpAtEveryLevel) {
       }
     }
   }
+}
+
+TEST(SortAdvanced, InstanceBitEqualsPerVertexPairReference) {
+  // The per-block-pair fill must write every weight byte the historical
+  // per-vertex-pair fill wrote (slack included), with the same clusters and
+  // vertex targets, on the default model, a routed CNOT line, the XX
+  // partner form and a routed XX line, at every SIMD level. Some blocks
+  // repeat an earlier block's letters (with another phase), which must
+  // earn no saving.
+  const LevelSession session;
+  Rng rng(141);
+  int instances = 0;
+  for (int rep = 0; rep < 60; ++rep) {
+    const std::size_t n = 3 + rng.index(10);
+    const std::size_t m = 1 + rng.index(40);
+    std::vector<synth::RotationBlock> blocks = random_blocks(n, m, rng);
+    for (std::size_t k = 1; k < m; ++k)
+      if (rng.bernoulli(0.2)) {
+        blocks[k].string = blocks[rng.index(k)].string;
+        blocks[k].string.set_phase_exponent(static_cast<int>(rng.index(4)));
+      }
+    const synth::HardwareTarget linear = synth::HardwareTarget::linear_nn(n);
+    const synth::HardwareTarget xx = synth::HardwareTarget::trapped_ion_xx();
+    const synth::HardwareTarget xx_linear = xx_line(n);
+    const synth::HardwareTarget* hws[4] = {nullptr, &linear, &xx, &xx_linear};
+    for (const synth::HardwareTarget* hw : hws) {
+      const core::detail::AdvancedInstance reference =
+          oracle::advanced_instance_reference(blocks, hw);
+      for (const simd::Level lvl : session.levels()) {
+        ASSERT_EQ(simd::set_level(lvl), lvl);
+        const core::detail::AdvancedInstance got =
+            core::detail::advanced_instance(blocks, hw);
+        const std::string where = "rep " + std::to_string(rep) + " device " +
+                                  (hw != nullptr ? hw->name : "none") + " " +
+                                  simd::to_string(lvl);
+        EXPECT_EQ(got.gtsp.clusters, reference.gtsp.clusters) << where;
+        EXPECT_EQ(got.gtsp.num_vertices, reference.gtsp.num_vertices) << where;
+        EXPECT_EQ(got.targets, reference.targets) << where;
+        ASSERT_EQ(got.gtsp.weights.size(), reference.gtsp.weights.size())
+            << where;
+        EXPECT_EQ(std::memcmp(got.gtsp.weights.data(),
+                              reference.gtsp.weights.data(),
+                              got.gtsp.weights.size() * sizeof(double)),
+                  0)
+            << where;
+        ++instances;
+      }
+    }
+  }
+  EXPECT_EQ(instances, 60 * 4 * static_cast<int>(session.levels().size()));
 }
 
 TEST(DenseGtspDeathTest, AllocateRefusesNonConsecutiveClusterIds) {

@@ -24,6 +24,7 @@
 #include "common/failpoint.hpp"
 #include "core/pipeline.hpp"
 #include "db/database.hpp"
+#include "obs/metrics.hpp"
 #include "service/protocol.hpp"
 
 namespace femto {
@@ -234,17 +235,54 @@ TEST(CompileContract, PinsTheServedBytesOfFixedRequests) {
                      synth::HardwareTarget::trapped_ion_xx(),
                      synth::HardwareTarget::linear_nn(4)};
 
+  // The Adv search proper on every kind of device its objectives price:
+  // uncompressed terms whose Gamma blocks are {0, 1, 3} and {2, 4, 5}, so the
+  // SA moves and the <= 12-term hill climb proposes new candidates, compiled
+  // for the default model, the XX partner form, a routed CNOT line and a
+  // routed XX line.
+  core::CompileRequest adv = tiny_request(9);
+  {
+    core::CompileScenario& s = adv.scenarios.front();
+    s.name = "db/adv6";
+    s.num_qubits = 6;
+    s.terms = {fermion::ExcitationTerm::make_double(4, 5, 0, 1),
+               fermion::ExcitationTerm::make_double(2, 5, 1, 3),
+               fermion::ExcitationTerm::single(3, 0),
+               fermion::ExcitationTerm::single(4, 2)};
+    s.options.compression = core::CompressionMode::kNone;
+    s.options.sa_options.steps = 300;
+    synth::HardwareTarget xx_line = synth::HardwareTarget::linear_nn(6);
+    xx_line.name = "xx_line";
+    xx_line.entangler = synth::EntanglerKind::kXX;
+    adv.targets = {synth::HardwareTarget::all_to_all_cnot(),
+                   synth::HardwareTarget::trapped_ion_xx(),
+                   synth::HardwareTarget::linear_nn(6), xx_line};
+  }
+
   core::CompilePipeline pipeline({.workers = 2});
   const std::pair<const core::CompileRequest*, std::uint64_t> pins[] = {
       {&transforms, 0x27962d82e863c84fULL},
       {&targets, 0x55c83080982d318eULL},
+      {&adv, 0x7f6af187076fdfa1ULL},
   };
   for (const auto& [request, hash] : pins) {
+    obs::Counter& sa_steps = obs::registry().counter("solver.sa_steps");
+    obs::Counter& gtsp_solves = obs::registry().counter("solver.gtsp_solves");
+    const std::uint64_t steps_before = sa_steps.value();
+    const std::uint64_t solves_before = gtsp_solves.value();
     const core::CompileResponse response = pipeline.compile(*request);
     ASSERT_TRUE(response.done()) << response.detail;
     EXPECT_EQ(db::fnv1a(service::protocol::canonical_response(response)),
               hash)
         << "served bytes moved: bump db::kCompileContract and re-pin";
+    if (request != &adv) continue;
+    // 4 targets x 2 restarts. Each compile sorts its one fermionic chunk at
+    // emission and prices at most two Gammas besides the climb's proposals
+    // (the annealed one and identity), so more than 3 GTSP solves per
+    // compile means the climb priced Gammas the SA's blocks moved.
+    const std::uint64_t compiles = 8;
+    EXPECT_EQ(sa_steps.value() - steps_before, compiles * 300);
+    EXPECT_GT(gtsp_solves.value() - solves_before, compiles * 3);
   }
 }
 

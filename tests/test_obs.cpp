@@ -255,10 +255,26 @@ TEST(Trace, PipelineCompileIsBitIdenticalTracedVsUntraced) {
   std::vector<std::string> names;
   for (const service::json::Value& e : events.items())
     names.push_back(e.find("name")->as_string());
-  for (const char* expected : {"compile_request", "restart", "verify",
-                               "stage_plan", "stage_transform", "stage_emit"})
+  for (const char* expected :
+       {"compile_request", "restart", "verify", "stage_plan",
+        "stage_transform", "adv_hill_climb", "stage_emit"})
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "trace missing span " << expected;
+
+  // The Adv search's exact-cost GTSP solves nest under adv_hill_climb.
+  int nested_solves = 0;
+  for (const service::json::Value& climb : events.items()) {
+    if (climb.find("name")->as_string() != "adv_hill_climb") continue;
+    const double lo = number_field(climb, "ts");
+    const double hi = lo + number_field(climb, "dur");
+    for (const service::json::Value& e : events.items())
+      if (e.find("name")->as_string() == "gtsp_ga" &&
+          number_field(e, "tid") == number_field(climb, "tid") &&
+          number_field(e, "ts") >= lo &&
+          number_field(e, "ts") + number_field(e, "dur") <= hi)
+        ++nested_solves;
+  }
+  EXPECT_GT(nested_solves, 0);
 }
 
 TEST(Metrics, CountersGaugesAndStableReferences) {

@@ -31,8 +31,9 @@ Gating rules, tuned so the gate is trustworthy across machines:
   (determinism anchors, e.g. the all-to-all hardware target's water CNOT
   count == the committed Table-1 Adv baseline).
 * Metrics listed in BASELINE_EXACT must equal the committed baseline's
-  value exactly: every Table-1 count (JW/BK/GT/Adv of all 14 rows) and
-  every per-target count of bench_targets.
+  value exactly: every Table-1 count (JW/BK/GT/Adv of all 14 rows), every
+  per-target count of bench_targets, and bench_solvers' sort_advanced
+  savings.
 * metrics prefixed info_ (cache hit counters etc.) are informational only.
 * A section or metric present in the baseline but missing from the fresh
   file fails the gate (coverage must not silently disappear); pass
@@ -145,11 +146,16 @@ ABS_EXACT = {
 # committed seeds, so a count that moves in either direction is a behavior
 # change: a faster search must reproduce every Table-1 cell (the paper's
 # "improve %" is measured against the GT column) and every per-target cost.
-# A deliberate change re-commits the baseline in the same change.
+# A deliberate change re-commits the baseline in the same change. The
+# solvers entries are sort_advanced's results on the water(8) JW blocks (the
+# default model, re-costed in XX pulses, and on a routed line): its GTSP
+# instance build must reproduce them exactly.
 BASELINE_EXACT = {
     "table1": ("table1/*/jw", "table1/*/bk", "table1/*/gt", "table1/*/adv"),
     "targets": ("targets/*/model_cnots", "targets/*/model_cost",
                 "targets/*/device_cost", "targets/*/routed_swaps"),
+    "solvers": ("gtsp/*/sorted_saving", "gtsp/*/sorted_pulses_saving",
+                "gtsp/*/sorted_surrogate_saving"),
 }
 
 
