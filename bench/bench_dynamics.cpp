@@ -46,7 +46,10 @@ int main() {
   core::TrotterResult trotter;
   h.run("trotter_compile/advanced_sort", 3,
         [&] { trotter = core::compile_trotter_step(n, hq, 0.05, 3); });
-  h.metric("cnots", synth::sequence_model_cost(trotter.ordered_blocks));
+  // The emitted step's count, and the cost model's count of the same sorted
+  // blocks: the two still differ (33 model against 39 emitted at seed 3).
+  h.metric("cnots", trotter.step.cnot_count());
+  h.metric("model_cnots", synth::sequence_model_cost(trotter.ordered_blocks));
 
   std::printf("\n# E8 Fermi-Hubbard Trotter step (4 sites, t=1, U=4, dt=0.05)\n");
   // Unsorted emission.

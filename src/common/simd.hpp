@@ -1,13 +1,17 @@
-// Runtime SIMD dispatch for the hand-vectorized kernels in gf2/wordops.hpp
-// and sim/kernels.hpp.
+// Runtime SIMD dispatch for the hand-vectorized kernels. Its users:
+//
+//   sim/kernels.hpp    -- the statevector kernels (AVX2 and AVX-512 bodies);
+//   opt/gtsp.hpp       -- the GTSP GA's value-only cluster DP (four double
+//                         lanes; the AVX-512 level runs the AVX2 lanes);
+//   core/sorting.hpp   -- the Held-Karp fill (eight int lanes; the AVX-512
+//                         level runs the AVX2 lanes).
 //
 // Three levels, all compiled into every x86-64 binary via function target
 // attributes (no special -march flags needed):
 //
 //   kPortable -- plain C++ loops, the reference semantics. Always available.
 //   kAvx2     -- 256-bit integer/double lanes (requires AVX2).
-//   kAvx512   -- 512-bit lanes (requires AVX-512 F+BW+DQ+VL; popcounts use
-//                the in-register byte-LUT so VPOPCNTDQ is NOT required).
+//   kAvx512   -- 512-bit lanes (requires AVX-512 F+BW+DQ+VL).
 //
 // The active level is resolved once: the FEMTO_SIMD environment variable
 // ("portable" | "avx2" | "avx512" | "auto"), clamped to what the CPU
@@ -16,14 +20,15 @@
 // how the SIMD-vs-portable bit-identity property tests iterate every level
 // on one machine.
 //
-// Contract (mirrors the PR-5 hot-path rule): every kernel family produces
-// BIT-IDENTICAL results at every level. Vector paths reorder work across
-// elements only -- each element sees the same arithmetic ops in the same
-// order as the portable loop (the femto build also sets -ffp-contract=off so
-// no FMA contraction can change rounding between paths).
+// Contract: every kernel family produces BIT-IDENTICAL results at every
+// level. Vector paths reorder work across elements only -- each element sees
+// the same arithmetic ops in the same order as the portable loop (the femto
+// build also sets -ffp-contract=off so no FMA contraction can change
+// rounding between paths).
 #pragma once
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -75,9 +80,11 @@ inline Level max_supported() {
 
 namespace detail {
 
-/// Parse a FEMTO_SIMD value; unknown strings (and "auto") mean "best".
+/// Parse a FEMTO_SIMD value; unset and "auto" mean "best". An unknown
+/// value also means "best" (so a daemon still boots), but says so on stderr:
+/// a misspelled "portable" would otherwise run the best level unnoticed.
 inline Level parse_level(const char* s, Level best) {
-  if (s == nullptr) return best;
+  if (s == nullptr || std::strcmp(s, "auto") == 0) return best;
   if (std::strcmp(s, "portable") == 0 || std::strcmp(s, "scalar") == 0 ||
       std::strcmp(s, "0") == 0) {
     return Level::kPortable;
@@ -88,6 +95,10 @@ inline Level parse_level(const char* s, Level best) {
   if (std::strcmp(s, "avx512") == 0 || std::strcmp(s, "2") == 0) {
     return Level::kAvx512;
   }
+  std::fprintf(stderr,
+               "femto: FEMTO_SIMD=\"%s\" names no level (accepted: portable, "
+               "scalar, 0, avx2, 1, avx512, 2, auto); using %s\n",
+               s, to_string(best));
   return best;
 }
 

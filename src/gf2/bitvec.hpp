@@ -8,9 +8,9 @@
 // ALWAYS zero. Construction zero-fills; the per-bit mutators only touch
 // checked indices < size(); the word-parallel mutators (^=, |=, &=) combine
 // two vectors of equal size, and 0 op 0 == 0 for all three operators, so the
-// padding stays zero through every mutating op. The reduction kernels
-// (popcount, parity, dot, the SIMD word ops in wordops.hpp, and hash_value)
-// rely on this to read whole words with no tail masking. Property-tested in
+// padding stays zero through every mutating op. The reductions (popcount,
+// parity, dot, the word kernels in wordops.hpp, and hash_value) rely on this
+// to read whole words with no tail masking. Property-tested in
 // tests/test_gf2.cpp (TailPaddingInvariant).
 //
 // Hot-path accessors: get/set/flip validate their index with FEMTO_EXPECTS
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "gf2/wordops.hpp"
 
 namespace femto::gf2 {
 
@@ -91,7 +90,8 @@ class BitVec {
   /// In-place XOR (vector addition over GF(2)).
   BitVec& operator^=(const BitVec& other) {
     FEMTO_EXPECTS(n_ == other.n_);
-    wordops::xor_inplace(words_.data(), other.words_.data(), words_.size());
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      words_[w] ^= other.words_[w];
     return *this;
   }
 
@@ -103,7 +103,8 @@ class BitVec {
   /// In-place OR.
   BitVec& operator|=(const BitVec& other) {
     FEMTO_EXPECTS(n_ == other.n_);
-    wordops::or_inplace(words_.data(), other.words_.data(), words_.size());
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      words_[w] |= other.words_[w];
     return *this;
   }
 
@@ -115,7 +116,8 @@ class BitVec {
   /// In-place AND.
   BitVec& operator&=(const BitVec& other) {
     FEMTO_EXPECTS(n_ == other.n_);
-    wordops::and_inplace(words_.data(), other.words_.data(), words_.size());
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      words_[w] &= other.words_[w];
     return *this;
   }
 
@@ -130,12 +132,17 @@ class BitVec {
 
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const {
-    return wordops::popcount(words_.data(), words_.size());
+    std::size_t count = 0;
+    for (std::uint64_t w : words_)
+      count += static_cast<std::size_t>(__builtin_popcountll(w));
+    return count;
   }
 
   /// XOR of all bits (== popcount() & 1).
   [[nodiscard]] bool parity() const {
-    return wordops::parity(words_.data(), words_.size());
+    std::uint64_t acc = 0;
+    for (std::uint64_t w : words_) acc ^= w;
+    return (__builtin_popcountll(acc) & 1) != 0;
   }
 
   [[nodiscard]] bool any() const {
@@ -147,8 +154,10 @@ class BitVec {
   /// Parity of the inner product <this, other> over GF(2).
   [[nodiscard]] bool dot(const BitVec& other) const {
     FEMTO_EXPECTS(n_ == other.n_);
-    return wordops::and_parity(words_.data(), other.words_.data(),
-                               words_.size());
+    std::uint64_t acc = 0;
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      acc ^= words_[w] & other.words_[w];
+    return (__builtin_popcountll(acc) & 1) != 0;
   }
 
   /// Index of the lowest set bit; n (size) when empty.

@@ -44,8 +44,8 @@ class Matrix {
   [[nodiscard]] const BitVec& row(std::size_t r) const { return rows_[r]; }
 
   /// Row operation row[dst] ^= row[src] (an elementary GL(n,2) generator).
-  /// Word-parallel via BitVec::operator^= (SIMD-dispatched, wordops.hpp) --
-  /// this is the Gamma-move primitive the SA loop issues per candidate.
+  /// Word-parallel via BitVec::operator^= -- this is the Gamma-move
+  /// primitive the SA loop issues per candidate.
   void add_row(std::size_t src, std::size_t dst) {
     FEMTO_EXPECTS(src != dst);
     rows_[dst] ^= rows_[src];

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "gf2/bitvec.hpp"
+#include "gf2/wordops.hpp"
 
 namespace femto::pauli {
 
@@ -114,9 +115,9 @@ class PauliString {
 
   void set_phase_exponent(int k) { phase_ = k & 3; }
 
-  /// Number of non-identity sites. Fused or+popcount over the word spans:
-  /// no temporary BitVec, SIMD-dispatched (string_cost calls this per block
-  /// inside the annealing loops).
+  /// Number of non-identity sites. Fused or+popcount over the word spans,
+  /// no temporary BitVec (string_cost calls this per block inside the
+  /// annealing loops).
   [[nodiscard]] std::size_t weight() const {
     return gf2::wordops::or_popcount(x_.word_data(), z_.word_data(),
                                      x_.word_count());

@@ -60,8 +60,8 @@ struct CommonSupport {
 [[nodiscard]] inline CommonSupport common_support_counts(
     const gf2::BitVec& x1, const gf2::BitVec& z1, const gf2::BitVec& x2,
     const gf2::BitVec& z2) {
-  // Fused SIMD-dispatched reduction over the raw word spans (wordops.hpp);
-  // the has_xy flag it also produces is free and ignored here.
+  // Fused reduction over the raw word spans (wordops.hpp); the has_xy flag
+  // it also produces is free and ignored here.
   const gf2::wordops::SupportCounts c = gf2::wordops::support_counts(
       x1.word_data(), z1.word_data(), x2.word_data(), z2.word_data(),
       x1.word_count());
@@ -112,9 +112,9 @@ struct CommonSupport {
                                                    const gf2::BitVec& z1,
                                                    const gf2::BitVec& x2,
                                                    const gf2::BitVec& z2) {
-  // One fused SIMD-dispatched pass yields all three quantities: the common
-  // support, its equal-letter subset, and the X/Y-collision flag (both x
-  // bits set, z bits differing).
+  // One fused pass yields all three quantities: the common support, its
+  // equal-letter subset, and the X/Y-collision flag (both x bits set, z bits
+  // differing).
   const gf2::wordops::SupportCounts c = gf2::wordops::support_counts(
       x1.word_data(), z1.word_data(), x2.word_data(), z2.word_data(),
       x1.word_count());

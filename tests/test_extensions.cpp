@@ -40,6 +40,10 @@ TEST(Dynamics, SortingReducesEmittedCnots) {
       core::hubbard_chain(3, 1.0, 4.0));
   const auto res = core::compile_trotter_step(n, hq, 0.05, 7);
   EXPECT_EQ(res.step.cnot_count(), 26);
+  // The cost model the sort minimizes prices the same sorted blocks at 23,
+  // not the 26 emitted. The gap is open (cause not isolated); this pins it
+  // so that a fix, or a new gap, shows here.
+  EXPECT_EQ(synth::sequence_model_cost(res.ordered_blocks), 23);
   EXPECT_EQ(synth::synthesize_sequence(n, res.blocks, synth::MergePolicy::kNone)
                 .cnot_count(),
             38);

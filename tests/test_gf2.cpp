@@ -5,6 +5,7 @@
 #include "gf2/bitvec.hpp"
 #include "gf2/linear_synthesis.hpp"
 #include "gf2/matrix.hpp"
+#include "gf2/wordops.hpp"
 
 namespace femto::gf2 {
 namespace {
@@ -38,9 +39,10 @@ TEST(BitVec, XorAndDot) {
 
 // Property test for the tail invariant documented in bitvec.hpp: every bit
 // at position >= size() in the final storage word stays zero through every
-// mutating operation. The word-reading reduction kernels (popcount, parity,
-// dot, the SIMD paths in wordops.hpp, hash_value) depend on this to scan
-// whole words without masking the tail.
+// mutating operation. The word-reading reductions (popcount, parity, dot,
+// the kernels in wordops.hpp, hash_value) depend on this to scan whole words
+// without masking the tail, and each (like the word-parallel mutators) is
+// checked here against a bit-by-bit recount.
 TEST(BitVec, TailPaddingInvariant) {
   Rng rng(20230807);
   const auto padding_clear = [](const BitVec& v) {
@@ -49,11 +51,13 @@ TEST(BitVec, TailPaddingInvariant) {
     return (tail >> (v.size() % 64)) == 0;
   };
   for (const std::size_t n : {1u, 63u, 64u, 65u, 127u, 129u, 255u, 257u}) {
-    BitVec a(n), b(n);
+    BitVec a(n), b(n), c(n), d(n);
     ASSERT_TRUE(padding_clear(a)) << "fresh n=" << n;
     for (int step = 0; step < 200; ++step) {
       const std::size_t i = rng.index(n);
-      switch (rng.index(6)) {
+      const BitVec before = a;
+      const std::size_t op = rng.index(6);
+      switch (op) {
         case 0: a.set(i, rng.bernoulli(0.5)); break;
         case 1: a.flip(i); break;
         case 2: a.set_u(i, rng.bernoulli(0.5)); break;
@@ -61,15 +65,48 @@ TEST(BitVec, TailPaddingInvariant) {
         case 4: a |= b; break;
         case 5: a &= b; break;
       }
+      if (op >= 3) {
+        for (std::size_t k = 0; k < n; ++k) {
+          const bool x = before.get(k), y = b.get(k);
+          const bool want = op == 3 ? x != y : op == 4 ? x || y : x && y;
+          ASSERT_EQ(a.get(k), want) << "op " << op << " n=" << n << " k=" << k;
+        }
+      }
       b.flip_u(rng.index(n));
+      c.flip(rng.index(n));
+      d.set(rng.index(n), rng.bernoulli(0.5));
       ASSERT_TRUE(padding_clear(a)) << "n=" << n << " step=" << step;
       ASSERT_TRUE(padding_clear(b)) << "n=" << n << " step=" << step;
       // The invariant is exactly what lets the word-reducers skip masking:
-      // a bit-by-bit recount must agree with the whole-word kernels.
-      std::size_t pop = 0;
-      for (std::size_t k = 0; k < n; ++k) pop += a.get(k) ? 1 : 0;
+      // a bit-by-bit recount must agree with the whole-word kernels. The
+      // support counts read (a, b) and (c, d) as the symplectic (x, z)
+      // pairs of two Pauli strings.
+      std::size_t pop = 0, and_pop = 0, or_pop = 0;
+      wordops::SupportCounts ref;
+      for (std::size_t k = 0; k < n; ++k) {
+        const bool x1 = a.get(k), z1 = b.get(k), x2 = c.get(k), z2 = d.get(k);
+        pop += x1 ? 1 : 0;
+        and_pop += x1 && z1 ? 1 : 0;
+        or_pop += x1 || z1 ? 1 : 0;
+        if ((x1 || z1) && (x2 || z2)) {
+          ++ref.common;
+          if (x1 == x2 && z1 == z2) ++ref.equal;
+          if (x1 && x2 && z1 != z2) ref.has_xy = true;  // an X against a Y
+        }
+      }
       ASSERT_EQ(a.popcount(), pop);
       ASSERT_EQ(a.parity(), (pop & 1) != 0);
+      ASSERT_EQ(a.dot(b), (and_pop & 1) != 0);
+      const std::size_t nw = a.word_count();
+      ASSERT_EQ(wordops::and_popcount(a.word_data(), b.word_data(), nw),
+                and_pop);
+      ASSERT_EQ(wordops::or_popcount(a.word_data(), b.word_data(), nw),
+                or_pop);
+      const wordops::SupportCounts sc = wordops::support_counts(
+          a.word_data(), b.word_data(), c.word_data(), d.word_data(), nw);
+      ASSERT_EQ(sc.common, ref.common) << "n=" << n << " step=" << step;
+      ASSERT_EQ(sc.equal, ref.equal) << "n=" << n << " step=" << step;
+      ASSERT_EQ(sc.has_xy, ref.has_xy) << "n=" << n << " step=" << step;
     }
   }
 }

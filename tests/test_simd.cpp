@@ -1,24 +1,26 @@
 // SIMD dispatch equivalence tests.
 //
-// The contract under test (sim/kernels.hpp, gf2/wordops.hpp): every
-// dispatch level -- portable, AVX2, AVX-512 -- produces BIT-IDENTICAL
-// results, because the vector paths reorder work across elements only,
-// never within one element's arithmetic. The tests therefore compare raw
-// bytes (memcmp), not tolerances. Levels the host CPU lacks are skipped
-// automatically (simd::set_level clamps); on a plain x86-64 machine the
-// suite still proves portable == AVX2, and on CI's x86-64-v3 leg that is
-// the shipping pair.
+// The contract under test (sim/kernels.hpp): every dispatch level --
+// portable, AVX2, AVX-512 -- produces BIT-IDENTICAL results, because the
+// vector paths reorder work across elements only, never within one
+// element's arithmetic. The tests therefore compare raw bytes (memcmp), not
+// tolerances. Levels the host CPU lacks are skipped automatically
+// (simd::set_level clamps); on a plain x86-64 machine the suite still
+// proves portable == AVX2, and on CI's x86-64-v3 leg that is the shipping
+// pair. The GTSP and Held-Karp lanes have their own level tests in
+// test_compile_hot; the GF(2) word kernels have one path, checked bit by
+// bit in test_gf2.
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "circuit/quantum_circuit.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "gf2/bitvec.hpp"
-#include "gf2/wordops.hpp"
 #include "obs/metrics.hpp"
 #include "sim/statevector.hpp"
 #include "support/level_session.hpp"
@@ -36,12 +38,6 @@ constexpr GateKind kAllKinds[] = {
     GateKind::kS,    GateKind::kSdg, GateKind::kRz,  GateKind::kRx,
     GateKind::kRy,   GateKind::kCnot, GateKind::kCz, GateKind::kSwap,
     GateKind::kXXrot, GateKind::kXYrot};
-
-[[nodiscard]] gf2::BitVec random_bits(std::size_t n, Rng& rng) {
-  gf2::BitVec v(n);
-  for (std::size_t i = 0; i < n; ++i) v.set(i, rng.bernoulli(0.5));
-  return v;
-}
 
 [[nodiscard]] StateVector random_state(std::size_t n, Rng& rng) {
   StateVector sv(n);
@@ -97,77 +93,51 @@ TEST(SimdDispatch, LevelNames) {
   EXPECT_STREQ(simd::to_string(simd::Level::kAvx512), "avx512");
 }
 
-// --- gf2 word kernels -----------------------------------------------------
-
-// Widths straddling the word boundaries: 1, 63/64/65 (one-word edge),
-// 255/256/257 (the 4-word AVX2 block edge and the 8-word half of AVX-512).
-constexpr std::size_t kWidths[] = {1, 63, 64, 65, 255, 256, 257};
-
-TEST(SimdWordops, AllReductionsIdenticalAcrossLevels) {
-  LevelSession session;
-  Rng rng(20250807);
-  for (const std::size_t n : kWidths) {
-    for (int rep = 0; rep < 8; ++rep) {
-      const gf2::BitVec a = random_bits(n, rng);
-      const gf2::BitVec b = random_bits(n, rng);
-      const gf2::BitVec c = random_bits(n, rng);
-      const gf2::BitVec d = random_bits(n, rng);
-      const std::size_t nw = a.word_count();
-
-      std::vector<std::size_t> pops, apops, opops;
-      std::vector<int> pars, apars;
-      std::vector<gf2::wordops::SupportCounts> scs;
-      for (const simd::Level lvl : session.levels()) {
-        ASSERT_EQ(simd::set_level(lvl), lvl);
-        pops.push_back(gf2::wordops::popcount(a.word_data(), nw));
-        apops.push_back(
-            gf2::wordops::and_popcount(a.word_data(), b.word_data(), nw));
-        opops.push_back(
-            gf2::wordops::or_popcount(a.word_data(), b.word_data(), nw));
-        pars.push_back(gf2::wordops::parity(a.word_data(), nw) ? 1 : 0);
-        apars.push_back(
-            gf2::wordops::and_parity(a.word_data(), b.word_data(), nw) ? 1
-                                                                       : 0);
-        scs.push_back(gf2::wordops::support_counts(
-            a.word_data(), b.word_data(), c.word_data(), d.word_data(), nw));
-      }
-      for (std::size_t l = 1; l < session.levels().size(); ++l) {
-        EXPECT_EQ(pops[l], pops[0]) << "popcount n=" << n;
-        EXPECT_EQ(apops[l], apops[0]) << "and_popcount n=" << n;
-        EXPECT_EQ(opops[l], opops[0]) << "or_popcount n=" << n;
-        EXPECT_EQ(pars[l], pars[0]) << "parity n=" << n;
-        EXPECT_EQ(apars[l], apars[0]) << "and_parity n=" << n;
-        EXPECT_EQ(scs[l].common, scs[0].common) << "support_counts n=" << n;
-        EXPECT_EQ(scs[l].equal, scs[0].equal) << "support_counts n=" << n;
-        EXPECT_EQ(scs[l].has_xy, scs[0].has_xy) << "support_counts n=" << n;
-      }
-    }
+// The level a process resolves at start-up is the one FEMTO_SIMD names,
+// clamped to the host. A value that names no level fails here, so a CI leg
+// meant to force the portable kernels cannot run the best level unnoticed.
+// (Every test that switches levels restores the entry level on exit.)
+TEST(SimdDispatch, StartupLevelIsTheOneFemtoSimdNames) {
+  const char* env = std::getenv("FEMTO_SIMD");
+  const std::string value = env == nullptr ? "auto" : env;
+  simd::Level named = simd::max_supported();
+  if (value == "portable" || value == "scalar" || value == "0") {
+    named = simd::Level::kPortable;
+  } else if (value == "avx2" || value == "1") {
+    named = simd::Level::kAvx2;
+  } else if (value == "avx512" || value == "2") {
+    named = simd::Level::kAvx512;
+  } else {
+    ASSERT_EQ(value, "auto") << "FEMTO_SIMD names no level";
   }
+  EXPECT_EQ(simd::level(), simd::detail::clamp(named))
+      << "FEMTO_SIMD=" << value;
 }
 
-TEST(SimdWordops, InplaceOpsIdenticalAcrossLevels) {
-  LevelSession session;
-  Rng rng(77);
-  for (const std::size_t n : kWidths) {
-    const gf2::BitVec src = random_bits(n, rng);
-    const gf2::BitVec base = random_bits(n, rng);
-    std::vector<gf2::BitVec> xors, ors, ands;
-    for (const simd::Level lvl : session.levels()) {
-      ASSERT_EQ(simd::set_level(lvl), lvl);
-      gf2::BitVec x = base, o = base, a = base;
-      x ^= src;
-      o |= src;
-      a &= src;
-      xors.push_back(x);
-      ors.push_back(o);
-      ands.push_back(a);
-    }
-    for (std::size_t l = 1; l < session.levels().size(); ++l) {
-      EXPECT_TRUE(xors[l] == xors[0]) << "xor n=" << n;
-      EXPECT_TRUE(ors[l] == ors[0]) << "or n=" << n;
-      EXPECT_TRUE(ands[l] == ands[0]) << "and n=" << n;
-    }
+TEST(SimdDispatch, UnknownFemtoSimdFallsBackToBestOnStderr) {
+  for (const char* typo : {"portabel", "PORTABLE", "avx-2", ""}) {
+    testing::internal::CaptureStderr();
+    const simd::Level got =
+        simd::detail::parse_level(typo, simd::Level::kAvx2);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(got, simd::Level::kAvx2) << '"' << typo << '"';
+    EXPECT_NE(err.find(std::string("FEMTO_SIMD=\"") + typo + '"'),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("accepted: portable"), std::string::npos) << err;
   }
+  for (const char* ok : {"portable", "scalar", "0", "avx2", "1", "avx512",
+                         "2", "auto"}) {
+    testing::internal::CaptureStderr();
+    (void)simd::detail::parse_level(ok, simd::Level::kAvx2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "") << ok;
+  }
+  EXPECT_EQ(simd::detail::parse_level("0", simd::Level::kAvx2),
+            simd::Level::kPortable);
+  EXPECT_EQ(simd::detail::parse_level("avx512", simd::Level::kAvx2),
+            simd::Level::kAvx512);
+  EXPECT_EQ(simd::detail::parse_level(nullptr, simd::Level::kAvx2),
+            simd::Level::kAvx2);
 }
 
 // --- statevector kernels --------------------------------------------------
