@@ -6,14 +6,11 @@
 // BENCH_statevector.json with per-kind medians and the headline
 // singleq_speedup / twoq_speedup ratios.
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_harness.hpp"
 #include "circuit/gate.hpp"
-#include "circuit/quantum_circuit.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "sim/statevector.hpp"
 
 namespace {
@@ -137,85 +134,5 @@ int main() {
   std::printf("single-qubit speedup: %.2fx, two-qubit speedup: %.2fx\n",
               singleq, twoq);
 
-  // --- SIMD dispatch: forced-portable vs best level ----------------------
-  // L1-resident state (11 qubits = 32 KiB of amplitudes) so the comparison
-  // measures the arithmetic kernels rather than DRAM bandwidth, and gates on
-  // qubits >= 3 only: a gate on qubit q works on contiguous runs of 2^q
-  // elements, and sub-vector runs fall back to the shared scalar tail BY
-  // DESIGN (bit-identity), so low-qubit gates measure dispatch overhead, not
-  // vector throughput. Both timings run the IDENTICAL femto kernels; only
-  // simd::set_level changes between them, so the ratio is machine-portable
-  // the same way the old-vs-new ratios above are.
-  const simd::Level best = simd::max_supported();
-  const std::size_t ns = 11;
-  sim::StateVector svs(ns);
-  randomize(svs, 21);
-  pauli::PauliString ps(ns);
-  for (std::size_t q = 0; q < ns; ++q)
-    ps.set_letter(q, (q % 2 == 0) ? pauli::Letter::X : pauli::Letter::Z);
-  const auto simd_workload = [&] {
-    for (int rep = 0; rep < 64; ++rep) {
-      for (std::size_t q = 3; q < ns; ++q)
-        svs.apply_matrix1(q, inv_sqrt2, inv_sqrt2, inv_sqrt2, -inv_sqrt2);
-      for (std::size_t q = 3; q < ns; ++q)
-        svs.apply_gate(circuit::Gate::rz(q, 0.2));
-      for (std::size_t q = 3; q + 1 < ns; ++q) svs.apply_xxrot(q, q + 1, 0.37);
-    }
-  };
-  FEMTO_ASSERT(simd::set_level(simd::Level::kPortable) ==
-               simd::Level::kPortable);
-  const double t_portable =
-      h.run("kernels/simd_sweep_11q_portable", kRepeats, simd_workload);
-  FEMTO_ASSERT(simd::set_level(best) == best);
-  // Fixed section name (the host's best level lands in info_simd_level):
-  // check_bench matches sections by name across machines.
-  const double t_best =
-      h.run("kernels/simd_sweep_11q_best", kRepeats, simd_workload);
-
-  // --- bit-identity pin: every dispatch level ----------------------------
-  // The contract the SIMD layer is built on: changing the dispatch level
-  // NEVER changes a single amplitude bit.
-  double bit_identical = 1.0;
-  {
-    circuit::QuantumCircuit probe(ns);
-    Rng prng(55);
-    for (int k = 0; k < 48; ++k) {
-      const auto q0 = prng.index(ns);
-      auto q1 = prng.index(ns);
-      while (q1 == q0) q1 = prng.index(ns);
-      switch (prng.index(6)) {
-        case 0: probe.append(circuit::Gate::h(q0)); break;
-        case 1: probe.append(circuit::Gate::rz(q0, prng.uniform(-2.0, 2.0))); break;
-        case 2: probe.append(circuit::Gate::ry(q0, prng.uniform(-2.0, 2.0))); break;
-        case 3: probe.append(circuit::Gate::cnot(q0, q1)); break;
-        case 4: probe.append(circuit::Gate::xxrot(q0, q1, prng.uniform(-2.0, 2.0))); break;
-        case 5: probe.append(circuit::Gate::xyrot(q0, q1, prng.uniform(-2.0, 2.0))); break;
-      }
-    }
-    sim::StateVector probe_base(ns);
-    randomize(probe_base, 77);
-    std::vector<std::vector<Complex>> level_amps;
-    for (const simd::Level lvl :
-         {simd::Level::kPortable, simd::Level::kAvx2, simd::Level::kAvx512}) {
-      if (simd::set_level(lvl) != lvl) continue;  // level not on this host
-      sim::StateVector sv_l = probe_base;
-      sv_l.apply_circuit(probe);
-      sv_l.apply_pauli_exp(ps, 0.321);
-      level_amps.push_back(sv_l.amplitudes());
-    }
-    FEMTO_ASSERT(simd::set_level(best) == best);
-    for (std::size_t l = 1; l < level_amps.size(); ++l)
-      if (std::memcmp(level_amps[l].data(), level_amps[0].data(),
-                      level_amps[0].size() * sizeof(Complex)) != 0)
-        bit_identical = 0.0;
-  }
-
-  h.section("kernels/simd");
-  h.metric("simd_kernel_speedup", t_portable / t_best);
-  h.metric("simd_bit_identical", bit_identical);
-  h.metric("info_simd_level", static_cast<double>(best));
-  std::printf(
-      "simd kernel speedup (%s vs portable): %.2fx, bit-identical: %.0f\n",
-      simd::to_string(best), t_portable / t_best, bit_identical);
   return h.write_json() ? 0 : 1;
 }

@@ -76,9 +76,8 @@ int main() {
   using namespace femto::bench;
 
   Harness harness("verify");
-  verify::EquivalenceOptions symbolic_only;
-  symbolic_only.allow_dense_fallback = false;
-  const verify::EquivalenceChecker checker(symbolic_only);
+  // Every section runs at n >= 14, above kDenseMaxQubits: no dense tier.
+  const verify::EquivalenceChecker checker;
 
   // --- tier 1: Clifford tableau at 32 qubits ---------------------------
   {

@@ -1,30 +1,25 @@
 // Runtime SIMD dispatch for the hand-vectorized kernels. Its users:
 //
-//   sim/kernels.hpp    -- the statevector kernels (AVX2 and AVX-512 bodies);
 //   opt/gtsp.hpp       -- the GTSP GA's value-only cluster DP (four double
-//                         lanes; the AVX-512 level runs the AVX2 lanes);
-//   core/sorting.hpp   -- the Held-Karp fill (eight int lanes; the AVX-512
-//                         level runs the AVX2 lanes).
+//                         lanes);
+//   core/sorting.hpp   -- the Held-Karp fill (eight int lanes).
 //
-// Three levels, all compiled into every x86-64 binary via function target
+// Two levels, both compiled into every x86-64 binary via function target
 // attributes (no special -march flags needed):
 //
 //   kPortable -- plain C++ loops, the reference semantics. Always available.
 //   kAvx2     -- 256-bit integer/double lanes (requires AVX2).
-//   kAvx512   -- 512-bit lanes (requires AVX-512 F+BW+DQ+VL).
 //
 // The active level is resolved once: the FEMTO_SIMD environment variable
-// ("portable" | "avx2" | "avx512" | "auto"), clamped to what the CPU
-// actually supports, defaulting to the best supported level. Tests and
-// benches switch levels in-process with set_level() (also clamped), which is
-// how the SIMD-vs-portable bit-identity property tests iterate every level
-// on one machine.
+// ("portable" | "avx2" | "auto"), clamped to what the CPU actually
+// supports, defaulting to the best supported level. Tests and benches
+// switch levels in-process with set_level() (also clamped), which is how
+// the SIMD-vs-portable bit-identity property tests iterate every level on
+// one machine.
 //
-// Contract: every kernel family produces BIT-IDENTICAL results at every
-// level. Vector paths reorder work across elements only -- each element sees
-// the same arithmetic ops in the same order as the portable loop (the femto
-// build also sets -ffp-contract=off so no FMA contraction can change
-// rounding between paths).
+// Contract: both kernel families produce BIT-IDENTICAL results at every
+// level. The lanes reorder work across elements only -- each element sees
+// the same operations in the same order as the portable loop.
 #pragma once
 
 #include <atomic>
@@ -45,17 +40,10 @@
 
 namespace femto::simd {
 
-enum class Level : int { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class Level : int { kPortable = 0, kAvx2 = 1 };
 
 inline const char* to_string(Level l) {
-  switch (l) {
-    case Level::kAvx512:
-      return "avx512";
-    case Level::kAvx2:
-      return "avx2";
-    default:
-      return "portable";
-  }
+  return l == Level::kAvx2 ? "avx2" : "portable";
 }
 
 /// Best level this CPU can execute (queried once, cached).
@@ -63,14 +51,7 @@ inline Level max_supported() {
 #if FEMTO_SIMD_X86
   static const Level cached = [] {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512bw") &&
-        __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("avx512vl")) {
-      return Level::kAvx512;
-    }
-    if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-    return Level::kPortable;
+    return __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kPortable;
   }();
   return cached;
 #else
@@ -92,12 +73,9 @@ inline Level parse_level(const char* s, Level best) {
   if (std::strcmp(s, "avx2") == 0 || std::strcmp(s, "1") == 0) {
     return Level::kAvx2;
   }
-  if (std::strcmp(s, "avx512") == 0 || std::strcmp(s, "2") == 0) {
-    return Level::kAvx512;
-  }
   std::fprintf(stderr,
                "femto: FEMTO_SIMD=\"%s\" names no level (accepted: portable, "
-               "scalar, 0, avx2, 1, avx512, 2, auto); using %s\n",
+               "scalar, 0, avx2, 1, auto); using %s\n",
                s, to_string(best));
   return best;
 }
@@ -109,7 +87,7 @@ inline Level clamp(Level l) {
 }
 
 // The gauge lets femtod `metrics` report which kernel path production
-// traffic actually takes (0 = portable, 1 = avx2, 2 = avx512).
+// traffic actually takes (0 = portable, 1 = avx2).
 inline void publish_level(Level l) {
   obs::registry().gauge("sim.simd_level").set(static_cast<std::int64_t>(l));
 }
@@ -134,7 +112,7 @@ inline Level level() {
 
 /// Override the active level in-process (clamped to CPU support). Returns
 /// the level actually installed. Used by the equivalence tests and the
-/// simd-vs-portable bench ratios.
+/// simd-vs-portable bench ratio.
 inline Level set_level(Level l) {
   Level installed = detail::clamp(l);
   detail::level_slot().store(static_cast<int>(installed),

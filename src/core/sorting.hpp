@@ -247,18 +247,14 @@ __attribute__((target("avx2"))) inline void held_karp_fill_avx2(
 }
 #endif  // FEMTO_SIMD_X86
 
-/// Fills rows 1 .. 2^m - 2 of the pushed DP (common/simd.hpp dispatch; the
-/// AVX-512 level runs the AVX2 lanes). Bit-identical at every level.
+/// Fills rows 1 .. 2^m - 2 of the pushed DP (common/simd.hpp dispatch).
+/// Bit-identical at every level.
 inline void held_karp_fill(int* val, const int* w, std::size_t m,
                            std::size_t stride) {
 #if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-    case simd::Level::kAvx2:
-      held_karp_fill_avx2(val, w, m, stride);
-      return;
-    default:
-      break;
+  if (simd::level() == simd::Level::kAvx2) {
+    held_karp_fill_avx2(val, w, m, stride);
+    return;
   }
 #endif
   held_karp_fill_portable(val, w, m, stride);

@@ -36,8 +36,9 @@
 //              service.in_flight      submitted tickets not yet terminal
 //              service.degraded       1 once a service entered degraded
 //                                     (database-less) serving
-//              sim.simd_level         active kernel dispatch level
-//                                     (0 portable, 1 AVX2, 2 AVX-512)
+//              sim.simd_level         active dispatch level of the GTSP
+//                                     and Held-Karp lanes (0 portable,
+//                                     1 AVX2)
 //   histograms service.request_latency_s   submit -> terminal, seconds
 //              service.queue_wait_s        submit -> scheduler pickup
 //

@@ -169,19 +169,15 @@ __attribute__((target("avx2"))) inline void relax_rows_avx2(
 }
 #endif  // FEMTO_SIMD_X86
 
-/// One DP layer (common/simd.hpp dispatch; the AVX-512 level runs the AVX2
-/// lanes). `out` has room for `width` rounded up to kGtspLanes, and `w`
-/// for the last lane group's tail. Bit-identical at every level.
+/// One DP layer (common/simd.hpp dispatch). `out` has room for `width`
+/// rounded up to kGtspLanes, and `w` for the last lane group's tail.
+/// Bit-identical at every level.
 inline void relax_rows(const double* dp, std::size_t rows, const double* w,
                        std::size_t stride, std::size_t width, double* out) {
 #if FEMTO_SIMD_X86
-  switch (simd::level()) {
-    case simd::Level::kAvx512:
-    case simd::Level::kAvx2:
-      relax_rows_avx2(dp, rows, w, stride, width, out);
-      return;
-    default:
-      break;
+  if (simd::level() == simd::Level::kAvx2) {
+    relax_rows_avx2(dp, rows, w, stride, width, out);
+    return;
   }
 #endif
   relax_rows_portable(dp, rows, w, stride, width, out);

@@ -281,19 +281,22 @@ class Service {
     {
       std::lock_guard<std::mutex> g(mu_);
       std::shared_ptr<Work> work = ticket->work_;
-      if (!terminalize(ticket, RequestState::kCancelled,
-                       bare(core::RequestStatus::kCancelled,
-                            "cancelled by client"),
-                       fire))
-        return;  // already terminal
-      if (work == nullptr) return;
-      FEMTO_EXPECTS(work->active > 0);
-      --work->active;
-      if (work->active > 0) return;  // coalesced siblings still waiting
-      if (work->running) {
-        work->cancel.store(true, std::memory_order_relaxed);
-      } else if (work->queued) {
-        drop_queued(work);
+      // An already terminal ticket queues no callback and releases nothing.
+      const bool detached =
+          terminalize(ticket, RequestState::kCancelled,
+                      bare(core::RequestStatus::kCancelled,
+                           "cancelled by client"),
+                      fire);
+      if (detached && work != nullptr) {
+        FEMTO_EXPECTS(work->active > 0);
+        // Coalesced siblings still waiting keep the work going.
+        if (--work->active == 0) {
+          if (work->running) {
+            work->cancel.store(true, std::memory_order_relaxed);
+          } else if (work->queued) {
+            drop_queued(work);
+          }
+        }
       }
     }
     fire_callbacks(fire);

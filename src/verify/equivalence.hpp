@@ -113,16 +113,8 @@ inline constexpr int kDenseTrials = 2;
 /// Seed of the dense spot-check's draws.
 inline constexpr std::uint64_t kDenseSeed = 0x5eedfe11ULL;
 
-struct EquivalenceOptions {
-  /// Disable to keep verification purely symbolic (always scalable).
-  bool allow_dense_fallback = true;
-};
-
 class EquivalenceChecker {
  public:
-  explicit EquivalenceChecker(EquivalenceOptions options = {})
-      : options_(options) {}
-
   /// Are two circuits the same unitary up to global phase (for variational
   /// circuits: for every parameter assignment)?
   [[nodiscard]] EquivalenceReport check(const circuit::QuantumCircuit& a,
@@ -147,7 +139,7 @@ class EquivalenceChecker {
                       propagate_circuit(b, kEquivalenceTol));
     if (report.equivalent()) return report;
     // Tier 3: arbitration for small instances.
-    if (dense_possible(a.num_qubits()))
+    if (a.num_qubits() <= kDenseMaxQubits)
       return arbitrate_dense(report, [&](sim::StateVector& sv,
                                          std::span<const double> params) {
         sv.apply_circuit(a, params);
@@ -166,7 +158,7 @@ class EquivalenceChecker {
     EquivalenceReport report =
         compare_forms(propagate_circuit(circuit, kEquivalenceTol),
                       propagate_spec(n, spec, kEquivalenceTol));
-    if (report.equivalent() || !dense_possible(n)) return report;
+    if (report.equivalent() || n > kDenseMaxQubits) return report;
     int num_params = circuit.num_params();
     for (const SpecOp& op : spec) {
       const int p = op.kind == SpecOp::Kind::kGate ? op.gate.param
@@ -244,10 +236,6 @@ class EquivalenceChecker {
       report.detail = mismatch;
     }
     return report;
-  }
-
-  [[nodiscard]] bool dense_possible(std::size_t n) const {
-    return options_.allow_dense_fallback && n <= kDenseMaxQubits;
   }
 
   [[nodiscard]] bool coeffs_match(const SymbolicRotation& a,
@@ -348,8 +336,6 @@ class EquivalenceChecker {
                       std::abs(a.amplitude(i) - phase * b.amplitude(i)));
     return diff;
   }
-
-  EquivalenceOptions options_;
 };
 
 }  // namespace femto::verify

@@ -9,16 +9,14 @@
 
 namespace femto {
 
-/// Levels this host can actually run (portable always; higher if the CPU
-/// has them). Restores the entry level on destruction.
+/// Levels this host can actually run (portable always; AVX2 if the CPU has
+/// it). Restores the entry level on destruction.
 class LevelSession {
  public:
   LevelSession() : entry_(simd::level()) {
     levels_.push_back(simd::Level::kPortable);
     if (simd::set_level(simd::Level::kAvx2) == simd::Level::kAvx2)
       levels_.push_back(simd::Level::kAvx2);
-    if (simd::set_level(simd::Level::kAvx512) == simd::Level::kAvx512)
-      levels_.push_back(simd::Level::kAvx512);
     (void)simd::set_level(entry_);
   }
   ~LevelSession() { (void)simd::set_level(entry_); }

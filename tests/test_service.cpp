@@ -606,6 +606,42 @@ TEST(Service, DifferentSeedsDoNotCoalesce) {
   EXPECT_EQ(counter("service.coalesced", base), 0u);
 }
 
+TEST(Service, CancelledCoalescedTicketFiresItsCallbackOnce) {
+  // The callback is what writes a socket client's `result` line, so a
+  // cancelled sibling must fire it exactly once, like any cancelled ticket,
+  // while the work it shared runs on for the leader.
+  service::Service svc(small_service());
+  const auto blocker = svc.submit(tiny_request("blocker", 5000));
+  ASSERT_TRUE(wait_for_state(blocker, RequestState::kRunning));
+  std::atomic<int> leader_fired{0}, sibling_fired{0};
+  std::atomic<RequestState> leader_seen{RequestState::kQueued};
+  std::atomic<RequestState> sibling_seen{RequestState::kQueued};
+  const auto leader =
+      svc.submit(tiny_request("twin"), [&](service::Ticket& t) {
+        leader_seen = t.state();
+        ++leader_fired;
+      });
+  const auto sibling =
+      svc.submit(tiny_request("twin"), [&](service::Ticket& t) {
+        sibling_seen = t.state();
+        ++sibling_fired;
+      });
+  ASSERT_FALSE(leader->coalesced());
+  ASSERT_TRUE(sibling->coalesced());
+
+  svc.cancel(sibling);
+  EXPECT_EQ(sibling->state(), RequestState::kCancelled);
+  EXPECT_EQ(sibling_fired.load(), 1);
+  EXPECT_EQ(sibling_seen.load(), RequestState::kCancelled);
+
+  svc.cancel(blocker);
+  svc.drain(/*cancel_queued=*/false);
+  EXPECT_EQ(leader->state(), RequestState::kDone) << leader->wait().detail;
+  EXPECT_EQ(leader_fired.load(), 1);
+  EXPECT_EQ(leader_seen.load(), RequestState::kDone);
+  EXPECT_EQ(sibling_fired.load(), 1);  // the work's finish skips it
+}
+
 // --- plan store --------------------------------------------------------------
 
 TEST(ServiceStore, RepeatAfterDoneServesSameBytesWithoutRunning) {

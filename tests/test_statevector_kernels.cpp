@@ -2,13 +2,22 @@
 // (sim/kernels.hpp): every GateKind, applied through StateVector, must match
 // a naive dense-matrix reference (kron-embedded 2x2 / 4x4 unitaries applied
 // by direct matvec) on random states, for 2-10 qubits with fixed RNG seeds.
+// KernelBits pins the kernels' exact bytes: an FNV-1a hash of the amplitudes
+// after fixed seeded workloads, and byte equality of the Pauli exponential
+// with its per-index reference loop.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/quantum_circuit.hpp"
 #include "common/rng.hpp"
+#include "db/database.hpp"
 #include "pauli/pauli_string.hpp"
 #include "pauli/pauli_sum.hpp"
 #include "sim/statevector.hpp"
@@ -164,6 +173,14 @@ constexpr GateKind kAllKinds[] = {
   return out;
 }
 
+[[nodiscard]] PauliString random_hermitian_string(std::size_t n, Rng& rng) {
+  PauliString p(n);
+  for (std::size_t q = 0; q < n; ++q)
+    p.set_letter(q, static_cast<Letter>(rng.index(4)));
+  if (rng.bernoulli(0.5)) p.set_phase_exponent(p.phase_exponent() + 2);
+  return p;
+}
+
 class KernelEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(KernelEquivalence, EveryGateKindMatchesDenseReference) {
@@ -228,10 +245,7 @@ TEST_P(KernelEquivalence, PauliExpMatchesDenseFormula) {
   const std::size_t n = GetParam();
   Rng rng(0xab5 + n);
   for (int rep = 0; rep < 10; ++rep) {
-    PauliString p(n);
-    for (std::size_t q = 0; q < n; ++q)
-      p.set_letter(q, static_cast<Letter>(rng.index(4)));
-    if (rng.bernoulli(0.5)) p.set_phase_exponent(p.phase_exponent() + 2);
+    const PauliString p = random_hermitian_string(n, rng);
     const double angle = rng.uniform(-3.0, 3.0);
     StateVector sv = random_state(n, rng);
     // exp(-i angle/2 P) = cos(angle/2) I - i sin(angle/2) P, with P acting
@@ -267,6 +281,99 @@ TEST_P(KernelEquivalence, AccumulatePauliMatchesDenseAction) {
 INSTANTIATE_TEST_SUITE_P(TwoToTenQubits, KernelEquivalence,
                          ::testing::Values(2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
                                            10u));
+
+// The amplitude bytes after a fixed seeded workload: a 300-gate circuit that
+// cycles through every GateKind (through apply_circuit, so the S, Sdg, Rz
+// neighbours fuse when they share a qubit), then 20 Pauli exponentials and 4
+// accumulate_pauli calls. A compiler, flag or respelling that moves one bit
+// of any kernel fails here; the run bodies spell every complex difference
+// as a sum so that -march=x86-64-v3 codegen computes these same bytes.
+TEST(KernelBits, PinsTheAmplitudeBytesOfFixedWorkloads) {
+  const std::pair<std::size_t, std::uint64_t> pins[] = {
+      {3, 0x4852a0530fcc6193ULL},
+      {5, 0x5e01f76d9350a877ULL},
+      {8, 0x1e362a74383991a5ULL},
+      {11, 0xcdfd7ae76d701f90ULL},
+      {14, 0xc8a49b19958ded0dULL},
+  };
+  for (const auto& [n, hash] : pins) {
+    Rng rng(0xb175 + n);
+    StateVector sv = random_state(n, rng);
+    QuantumCircuit qc(n);
+    for (std::size_t k = 0; k < 300; ++k)
+      qc.append(random_gate(kAllKinds[k % std::size(kAllKinds)], n, rng));
+    sv.apply_circuit(qc);
+    std::vector<Complex> acc(sv.dim(), Complex{0.0, 0.0});
+    for (int k = 0; k < 20; ++k) {
+      const PauliString p = random_hermitian_string(n, rng);
+      sv.apply_pauli_exp(p, rng.uniform(-3.0, 3.0));
+      if (k % 5 == 0)
+        sv.accumulate_pauli(p, Complex{rng.normal(), rng.normal()}, acc);
+    }
+    std::string bytes(reinterpret_cast<const char*>(sv.amplitudes().data()),
+                      sv.dim() * sizeof(Complex));
+    bytes.append(reinterpret_cast<const char*>(acc.data()),
+                 acc.size() * sizeof(Complex));
+    const std::uint64_t got = db::fnv1a(bytes);
+    EXPECT_EQ(got, hash) << n << " qubits: got 0x" << std::hex << got
+                         << "; the kernels' arithmetic moved";
+  }
+}
+
+/// `x * y` for finite operands, bit for bit: std::complex's products with
+/// the real part's difference spelled as a sum with a negated factor, the
+/// way the kernels' run bodies spell it.
+[[nodiscard]] Complex mul(Complex x, Complex y) {
+  return {x.real() * y.real() + (-x.imag()) * y.imag(),
+          x.real() * y.imag() + x.imag() * y.real()};
+}
+
+/// Reference Pauli exponential: the historical per-index loop, no sub-run
+/// decomposition. Guards the run-decomposed kernel against structural
+/// mistakes (pair enumeration, phase hoisting).
+void reference_pauli_exp(std::vector<Complex>& a, const kernels::PauliMasks& m,
+                         double c, double s) {
+  const std::size_t dim = a.size();
+  if (m.x == 0) {
+    const Complex even{c, -s}, odd{c, s};
+    for (std::size_t i = 0; i < dim; ++i)
+      a[i] = mul(a[i], (std::popcount(i & m.z) & 1) ? odd : even);
+    return;
+  }
+  const std::size_t pb = std::size_t{1} << (std::bit_width(m.x) - 1);
+  const std::size_t flip = static_cast<std::size_t>(m.x);
+  const Complex mis{0.0, -s};
+  for (std::size_t g = 0; g < dim; g += 2 * pb) {
+    for (std::size_t i = g; i < g + pb; ++i) {
+      const std::size_t j = i ^ flip;
+      const Complex ai = a[i], aj = a[j];
+      a[i] = c * ai + mul(mul(mis, m.phase(j)), aj);
+      a[j] = c * aj + mul(mul(mis, m.phase(i)), ai);
+    }
+  }
+}
+
+TEST(KernelBits, PauliExpMatchesPerIndexReference) {
+  Rng rng(31337);
+  const char* strings[] = {"ZIZ", "XIX", "YZY", "IXI", "ZZZZZ", "XYZIX"};
+  for (const char* s : strings) {
+    const PauliString p = PauliString::from_string(s);
+    const StateVector base = random_state(p.num_qubits(), rng);
+    const double angle = 0.83;
+    const double half = p.sign().real() * angle / 2;
+
+    StateVector sv = base;
+    sv.apply_pauli_exp(p, angle);
+
+    std::vector<Complex> ref = base.amplitudes();
+    reference_pauli_exp(ref, detail::make_masks(p), std::cos(half),
+                        std::sin(half));
+    EXPECT_EQ(std::memcmp(sv.amplitudes().data(), ref.data(),
+                          ref.size() * sizeof(Complex)),
+              0)
+        << s;
+  }
+}
 
 TEST(KernelEquivalence, GateNormPreservation) {
   // Unitarity smoke check at a size where every stride shape (low/high/mixed

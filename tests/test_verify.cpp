@@ -70,13 +70,11 @@ const Fixture& water() {
 
 TEST(PauliPropagation, SynthesisPoliciesAgreeSymbolicallyAt32Qubits) {
   // kMerge and kNone emit very different gate streams for the same block
-  // sequence; symbolic propagation must certify them equal with NO dense
-  // fallback, far beyond statevector reach.
+  // sequence; symbolic propagation must certify them equal far beyond
+  // statevector reach (the dense tier stops at kDenseMaxQubits).
   Rng rng(3);
   const std::size_t n = 32;
-  EquivalenceOptions options;
-  options.allow_dense_fallback = false;
-  const EquivalenceChecker checker(options);
+  const EquivalenceChecker checker;
   for (int rep = 0; rep < 3; ++rep) {
     const auto blocks = testing::random_rotation_blocks(n, 25, rng);
     const QuantumCircuit merged =
@@ -90,15 +88,14 @@ TEST(PauliPropagation, SynthesisPoliciesAgreeSymbolicallyAt32Qubits) {
     const EquivalenceReport vs_spec =
         checker.check_spec(merged, make_spec(blocks));
     EXPECT_TRUE(vs_spec.equivalent()) << vs_spec.to_string();
+    EXPECT_EQ(vs_spec.method, EquivalenceMethod::kPauliPropagation);
   }
 }
 
 TEST(PauliPropagation, CorruptedCircuitRejectedWithLocalizedReport) {
   Rng rng(5);
   const std::size_t n = 32;
-  EquivalenceOptions options;
-  options.allow_dense_fallback = false;
-  const EquivalenceChecker checker(options);
+  const EquivalenceChecker checker;
   const auto blocks = testing::random_rotation_blocks(n, 20, rng);
   QuantumCircuit circuit = synth::synthesize_sequence(n, blocks);
   ASSERT_TRUE(checker.check_spec(circuit, make_spec(blocks)).equivalent());
@@ -109,6 +106,7 @@ TEST(PauliPropagation, CorruptedCircuitRejectedWithLocalizedReport) {
   const EquivalenceReport report = checker.check_spec(circuit, make_spec(blocks));
   EXPECT_FALSE(report.equivalent());
   EXPECT_EQ(report.status, EquivalenceStatus::kNotEquivalent);
+  EXPECT_EQ(report.method, EquivalenceMethod::kPauliPropagation);
   EXPECT_FALSE(report.detail.empty());
   // The report localizes the divergence: either a rotation index or a named
   // tableau generator.
@@ -190,10 +188,11 @@ TEST(EquivalenceChecker, DenseTierArbitratesLiteralAngles) {
   const EquivalenceReport report = checker.check(a, b);
   EXPECT_EQ(report.status, EquivalenceStatus::kNotEquivalent);
   EXPECT_EQ(report.method, EquivalenceMethod::kDenseSpotCheck);
-  // Same check, symbolic only: still rejected, by propagation.
-  EquivalenceOptions options;
-  options.allow_dense_fallback = false;
-  const EquivalenceReport symbolic = EquivalenceChecker(options).check(a, b);
+  // The symbolic tier alone already rejects them: the dense tier only
+  // arbitrates its verdict.
+  const EquivalenceReport symbolic =
+      checker.compare_forms(propagate_circuit(a, kEquivalenceTol),
+                            propagate_circuit(b, kEquivalenceTol));
   EXPECT_EQ(symbolic.status, EquivalenceStatus::kNotEquivalent);
   EXPECT_EQ(symbolic.method, EquivalenceMethod::kPauliPropagation);
   EXPECT_EQ(symbolic.mismatch_index, 0u);
@@ -285,9 +284,7 @@ TEST(EquivalenceChecker, CrossEncodingWaterCompilationsEquivalent) {
   options.transform = core::TransformKind::kJordanWigner;
   const core::CompileResult jw = core::compile_vqe(f.n, f.terms, options);
 
-  EquivalenceOptions eq_options;
-  eq_options.allow_dense_fallback = false;  // must succeed symbolically
-  const EquivalenceChecker checker(eq_options);
+  const EquivalenceChecker checker;  // n = 14: must succeed symbolically
   const auto check_frame = [&](const core::CompileResult& other) {
     ASSERT_EQ(jw.term_order, other.term_order);  // same plan, same seed
     const QuantumCircuit gamma_network =
@@ -322,15 +319,14 @@ TEST(EquivalenceChecker, CrossEncodingWaterCompilationsEquivalent) {
 TEST(EquivalenceChecker, InverseCircuitCancelsSymbolically) {
   Rng rng(17);
   const std::size_t n = 30;
-  EquivalenceOptions options;
-  options.allow_dense_fallback = false;
-  const EquivalenceChecker checker(options);
+  const EquivalenceChecker checker;
   const auto blocks = testing::random_rotation_blocks(n, 15, rng);
   const QuantumCircuit c = synth::synthesize_sequence(n, blocks);
   QuantumCircuit both = c;
   both.append(c.inverse());
   const EquivalenceReport report = checker.check(both, QuantumCircuit(n));
   EXPECT_TRUE(report.equivalent()) << report.to_string();
+  EXPECT_EQ(report.method, EquivalenceMethod::kPauliPropagation);
 }
 
 }  // namespace
